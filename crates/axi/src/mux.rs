@@ -431,10 +431,9 @@ impl AxiMux {
         let opens: Vec<String> = (0..self.n)
             .map(|p| format!("m{p}: {}r/{}w", self.reads_open[p], self.writes_open[p]))
             .collect();
-        let storm = self
-            .faults
-            .as_ref()
-            .map_or(0, |f| f.ar_storm_left + f.aw_storm_left);
+        let storm = self.faults.as_ref().map_or(0, |f| {
+            u64::from(f.ar_storm_left) + u64::from(f.aw_storm_left)
+        });
         format!(
             "open [{}], {} W routes pending, storm suppression {} rounds left",
             opens.join(", "),

@@ -63,16 +63,30 @@ pub fn memory_digest(bytes: &[u8]) -> u64 {
 /// Deliberately kept out of [`crate::RunReport`]: reports must be
 /// bit-identical between event and lockstep modes (that is the oracle's
 /// contract), while skip counts are a property of *how* time advanced.
-/// Lockstep runs report all zeros.
+/// Lockstep runs never skip: they report zero skipped cycles and zero
+/// parked engine ticks (see [`SchedProbe::skipped_any`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedProbe {
     /// Cycles covered by fast-forwarded idle spans instead of ticks.
     pub skipped_cycles: u64,
     /// Number of idle spans fast-forwarded.
     pub skip_spans: u64,
+    /// Engine ticks the hierarchical-fabric loop performed (0 on the
+    /// solo and flat loops).
+    pub engine_ticks: u64,
+    /// Engine ticks the hierarchical-fabric loop replayed in bulk for
+    /// engines parked on their leaf FIFOs instead of ticking them.
+    pub parked_engine_ticks: u64,
 }
 
 impl SchedProbe {
+    /// `true` when the run advanced any time without ticking: an idle
+    /// span was fast-forwarded or a parked engine's ticks were replayed.
+    /// Lockstep runs must always answer `false`.
+    pub fn skipped_any(&self) -> bool {
+        self.skip_spans != 0 || self.parked_engine_ticks != 0
+    }
+
     /// Accounts one fast-forwarded span of `span` cycles.
     #[inline]
     pub fn record_span(&mut self, span: u64) {
@@ -96,8 +110,8 @@ pub struct RunProbe {
     pub roots: Vec<Monitor>,
     /// [`memory_digest`] of the final backing store.
     pub storage_digest: Option<u64>,
-    /// Idle spans the event-driven scheduler fast-forwarded (all zeros in
-    /// lockstep mode).
+    /// Idle spans the event-driven scheduler fast-forwarded and engine
+    /// ticks it performed or replayed (nothing skipped in lockstep mode).
     pub sched: SchedProbe,
 }
 
@@ -303,7 +317,7 @@ fn check_kernel_seed_watched(
         let mut lock_probe = RunProbe::default();
         let lock_report = run_kernel_probed(&lock_sys, &sk.kernel, &mut lock_probe)
             .map_err(|e| format!("seed {seed}: lockstep {} run failed: {e}", kinds[i]))?;
-        if lock_probe.sched != SchedProbe::default() {
+        if lock_probe.sched.skipped_any() {
             return Err(format!(
                 "seed {seed}: lockstep {} run fast-forwarded {} spans ({} cycles) — \
                  lockstep mode must never skip",
@@ -442,7 +456,7 @@ fn check_kernel_seed_watched(
             let mut lock_probe = RunProbe::default();
             let lock_report = run_system_probed(&lock_topo, &mut lock_probe)
                 .map_err(|e| format!("seed {seed}: lockstep {n}-requestor topology failed: {e}"))?;
-            if lock_probe.sched != SchedProbe::default() {
+            if lock_probe.sched.skipped_any() {
                 return Err(format!(
                     "seed {seed}: lockstep {n}-requestor topology fast-forwarded {} spans — \
                      lockstep mode must never skip",

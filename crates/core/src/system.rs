@@ -33,7 +33,7 @@ use banked_mem::{BankConfig, ChannelMap, Storage, WordFault};
 use hwmodel::energy::{Activity, EnergyModel};
 use pack_ctrl::{Adapter, CtrlConfig};
 use simkit::fault::{site, FaultReport, FaultSpec, HangComponent, HangReport};
-use vproc::{BusFault, Engine, EngineStats, SystemKind, VprocConfig};
+use vproc::{BusFault, Engine, EngineStats, Parked, SystemKind, VprocConfig};
 use workloads::{Kernel, KernelParams};
 
 use crate::differential::{memory_digest, RunProbe, SchedProbe};
@@ -1716,6 +1716,50 @@ impl ChannelHw {
     }
 }
 
+/// Event-mode parking state of the fabric loop: which engines are parked
+/// on their leaf FIFOs ([`Engine::parked`]), why, and since when.
+struct ParkLot {
+    /// Per engine: the park reason and the first cycle it was not ticked.
+    slots: Vec<Option<(Parked, u64)>>,
+    /// Parked engines blocked on a scalar store. Lockstep would book one
+    /// scalar stall cycle per cycle for each, which the watchdog counts
+    /// as progress.
+    scalar: u64,
+}
+
+impl ParkLot {
+    fn new(engines: usize) -> Self {
+        ParkLot {
+            slots: vec![None; engines],
+            scalar: 0,
+        }
+    }
+
+    /// Parks engine `i` for reason `p`; `now` is the first cycle it
+    /// skips.
+    fn park(&mut self, i: usize, p: Parked, now: u64) {
+        self.slots[i] = Some((p, now));
+        self.scalar += u64::from(p.scalar);
+    }
+
+    /// Replays the ticks engine `i` skipped before cycle `now` and
+    /// wakes it.
+    fn unpark(&mut self, i: usize, engine: &mut Engine, now: u64, probe: &mut SchedProbe) {
+        if let Some((p, since)) = self.slots[i].take() {
+            engine.skip_parked(p, now - since);
+            probe.parked_engine_ticks += now - since;
+            self.scalar -= u64::from(p.scalar);
+        }
+    }
+
+    /// Wakes every parked engine, so their statistics are current.
+    fn unpark_all(&mut self, engines: &mut [Engine], now: u64, probe: &mut SchedProbe) {
+        for (i, engine) in engines.iter_mut().enumerate() {
+            self.unpark(i, engine, now, probe);
+        }
+    }
+}
+
 /// The hierarchical-fabric loop: per-channel adapters behind cascaded
 /// mux trees, windows interleaved across the channels, engines in
 /// private windows. Flat topologies never come here (see
@@ -1783,11 +1827,20 @@ fn run_fabric_uncached(
 
     let mut cycles = 0u64;
     let mut done_at: Vec<Option<u64>> = vec![None; engines.len()];
+    // Requestors not yet done; the run ends once it is 0 and the fabric
+    // has drained.
+    let mut live = engines.len();
     let mut sched_stats = SchedProbe::default();
     let mut watchdog = Watchdog::new(sys.watchdog);
+    // The engines' share of the watchdog signature, kept as lockstep
+    // would compute it: tick deltas, skipped spans, and one per cycle
+    // for every engine parked on a scalar store.
+    let mut engine_sig: u64 = engines.iter().map(|e| engine_progress(e.stats())).sum();
+    let event = sys.sched == SchedMode::Event;
+    let mut lot = ParkLot::new(engines.len());
     // Event mode: the same per-engine wake registry as the flat loop;
     // the fabric as a whole is either drained (skippable) or ready.
-    let mut scheduler = (sys.sched == SchedMode::Event).then(|| {
+    let mut scheduler = event.then(|| {
         let mut s = simkit::sched::Scheduler::new();
         let ids: Vec<simkit::sched::CompId> = (0..engines.len())
             .map(|_| s.add_component("engine", simkit::sched::WakeCond::Countdown))
@@ -1809,9 +1862,12 @@ fn run_fabric_uncached(
                 if let Some(n) = s.idle_span() {
                     let span = n.min(sys.max_cycles.saturating_sub(cycles));
                     if span > 0 {
+                        lot.unpark_all(&mut engines, cycles, &mut sched_stats);
                         for (i, engine) in engines.iter_mut().enumerate() {
                             if done_at[i].is_none() {
+                                let before = engine_progress(engine.stats());
                                 engine.fast_forward(span);
+                                engine_sig += engine_progress(engine.stats()) - before;
                             }
                         }
                         for hw in channels_hw.iter_mut() {
@@ -1825,9 +1881,10 @@ fn run_fabric_uncached(
                         for (i, engine) in engines.iter().enumerate() {
                             if done_at[i].is_none() && engine.done() {
                                 done_at[i] = Some(cycles);
+                                live -= 1;
                             }
                         }
-                        if done_at.iter().all(Option::is_some) {
+                        if live == 0 {
                             break;
                         }
                         continue;
@@ -1839,6 +1896,23 @@ fn run_fabric_uncached(
             if done_at[i].is_some() {
                 continue;
             }
+            // Event mode parks an engine whose tick would only book
+            // stall counters and skips it until its leaf FIFOs change;
+            // lockstep ticks every live engine.
+            if let (true, Some((c, j))) = (event, slots[i]) {
+                let leaf = &channels_hw[c].leaves[j];
+                match lot.slots[i] {
+                    Some((p, _)) if !p.woken(leaf) => continue,
+                    Some(_) => lot.unpark(i, engine, cycles, &mut sched_stats),
+                    None => {
+                        if let Some(p) = engine.parked(leaf) {
+                            lot.park(i, p, cycles);
+                            continue;
+                        }
+                    }
+                }
+            }
+            let before = engine_progress(engine.stats());
             match slots[i] {
                 Some((c, j)) => {
                     let hw = &mut channels_hw[c];
@@ -1849,26 +1923,24 @@ fn run_fabric_uncached(
                     engine.tick(None, hw.adapter.storage_mut());
                 }
             }
+            engine_sig += engine_progress(engine.stats()) - before;
+            sched_stats.engine_ticks += 1;
+            if engine.done() {
+                done_at[i] = Some(cycles + 1);
+                live -= 1;
+            }
         }
         for hw in channels_hw.iter_mut() {
             hw.tick();
             hw.end_cycle();
         }
         cycles += 1;
-        for (i, engine) in engines.iter().enumerate() {
-            if done_at[i].is_none() && engine.done() {
-                done_at[i] = Some(cycles);
-            }
-        }
-        let drained = channels_hw.iter().all(ChannelHw::drained);
-        if done_at.iter().all(Option::is_some) && drained {
+        engine_sig += lot.scalar;
+        if live == 0 && channels_hw.iter().all(ChannelHw::drained) {
             break;
         }
         let hung = cycles > sys.max_cycles;
-        let sig = engines
-            .iter()
-            .map(|e| engine_progress(e.stats()))
-            .sum::<u64>()
+        let sig = engine_sig
             + channels_hw
                 .iter()
                 .map(|hw| {
@@ -1876,6 +1948,7 @@ fn run_fabric_uncached(
                 })
                 .sum::<u64>();
         if hung || watchdog.expired(cycles, sig) {
+            lot.unpark_all(&mut engines, cycles, &mut sched_stats);
             let mut components: Vec<HangComponent> = engines
                 .iter()
                 .enumerate()

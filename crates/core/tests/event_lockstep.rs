@@ -8,14 +8,22 @@
 //! exactly. This suite replays every [`SEED_CORPUS`] entry solo on all
 //! three system kinds and as a 2-requestor shared-bus topology, once per
 //! mode, and compares everything.
+//!
+//! The hierarchical-fabric loop additionally parks blocked engines on
+//! their leaf FIFOs in event mode. The fabric grid below holds that to
+//! the same oracle over every fabric shape, and the hang tests pin the
+//! watchdog signature the loop keeps incrementally.
+
+use std::sync::Arc;
 
 use axi_pack::differential::SEED_CORPUS;
 use axi_pack::{
-    run_kernel_probed, run_system_probed, Requestor, RunProbe, RunReport, SchedMode, SystemConfig,
-    Topology,
+    run_kernel_probed, run_system, run_system_probed, FabricSpec, Requestor, RunError, RunProbe,
+    RunReport, SchedMode, SystemConfig, Topology,
 };
-use vproc::SystemKind;
-use workloads::synth;
+use simkit::fault::{FaultSpec, HangReport};
+use vproc::{Program, SystemKind};
+use workloads::{gemv, scatter, spmv, synth, CsrMatrix, Dataflow, Kernel};
 
 const KINDS: [SystemKind; 3] = [SystemKind::Base, SystemKind::Pack, SystemKind::Ideal];
 
@@ -157,5 +165,210 @@ fn corpus_topologies_agree_across_modes() {
         for (r, (e, l)) in ev.requestors.iter().zip(&lk.requestors).enumerate() {
             assert_reports_identical(e, l, &format!("{ctx}, requestor {r}"));
         }
+    }
+}
+
+/// Six small requestors of one kind: row-wise gemv (reductions blocking
+/// scalar stores), indirect spmv (index traffic) and scatter (AW and W
+/// traffic), twice over, so loads, stores and scalar stores all meet
+/// back-pressure somewhere in the tree.
+fn mixed_requestors(kind: SystemKind) -> Vec<Requestor> {
+    let p = SystemConfig::paper(kind).kernel_params();
+    (0..6u64)
+        .map(|i| {
+            let kernel = match i % 3 {
+                0 => gemv::build(16, 40 + i, Dataflow::RowWise, &p),
+                1 => spmv::build(&CsrMatrix::random(12, 48, 5.0, 50 + i), 60 + i, &p),
+                _ => scatter::build(96, 1.5, 70 + i, &p),
+            };
+            Requestor::new(kind, kernel)
+        })
+        .collect()
+}
+
+fn fabric_topology(
+    kind: SystemKind,
+    fabric: FabricSpec,
+    sched: SchedMode,
+    requestors: Vec<Requestor>,
+) -> Topology {
+    let mut sys = SystemConfig::paper(kind);
+    sys.sched = sched;
+    sys.max_cycles = 2_000_000;
+    Topology::builder(&sys)
+        .requestors(requestors)
+        .fabric(fabric)
+        .build()
+        .unwrap_or_else(|e| panic!("{kind} {fabric:?}: not DRC-clean: {e}"))
+}
+
+#[test]
+fn fabric_grid_agrees_across_modes() {
+    // Every fabric shape the loop supports: 1, 2 or 4 channels, arity 2
+    // or 4, with and without row buffers, BASE and PACK. Event mode may
+    // park engines but must reproduce lockstep's report, per-level beats
+    // and final memory exactly.
+    let (mut ar_stalls, mut w_stalls) = (0u64, 0u64);
+    for kind in [SystemKind::Base, SystemKind::Pack] {
+        let requestors = mixed_requestors(kind);
+        for channels in [1, 2, 4] {
+            for arity in [2, 4] {
+                for row_buffer in [false, true] {
+                    let mut fabric = FabricSpec::tree(arity).with_channels(channels);
+                    if row_buffer {
+                        fabric = fabric.with_row_buffer(8, 6);
+                    }
+                    let ctx = format!("{kind} {fabric:?}");
+                    let run = |sched: SchedMode| {
+                        let topo = fabric_topology(kind, fabric, sched, requestors.clone());
+                        let mut probe = RunProbe::default();
+                        let report = run_system_probed(&topo, &mut probe)
+                            .unwrap_or_else(|e| panic!("{ctx} ({sched}): run failed: {e}"));
+                        (report, probe)
+                    };
+                    let (ev, ev_probe) = run(SchedMode::Event);
+                    let (lk, lk_probe) = run(SchedMode::Lockstep);
+                    assert_eq!(
+                        format!("{ev:?}"),
+                        format!("{lk:?}"),
+                        "{ctx}: system reports differ between modes"
+                    );
+                    assert_eq!(ev.levels, lk.levels, "{ctx}: per-level beats");
+                    assert_eq!(
+                        ev_probe.storage_digest, lk_probe.storage_digest,
+                        "{ctx}: final memory differs between modes"
+                    );
+                    assert!(
+                        !lk_probe.sched.skipped_any(),
+                        "{ctx}: lockstep skipped {:?}",
+                        lk_probe.sched
+                    );
+                    assert!(
+                        ev_probe.sched.parked_engine_ticks > 0,
+                        "{ctx}: event mode never parked an engine"
+                    );
+                    assert!(lk_probe.sched.engine_ticks > ev_probe.sched.engine_ticks);
+                    ar_stalls += ev.requestors.iter().map(|r| r.ar_stall_cycles).sum::<u64>();
+                    w_stalls += ev.requestors.iter().map(|r| r.w_stall_cycles).sum::<u64>();
+                }
+            }
+        }
+    }
+    assert!(ar_stalls > 0, "no engine ever waited on a full AR FIFO");
+    assert!(w_stalls > 0, "no engine ever waited on a full W FIFO");
+}
+
+#[test]
+fn parked_tick_counts_repeat_exactly() {
+    let fabric = FabricSpec::tree(2).with_channels(2);
+    let run = || {
+        let topo = fabric_topology(
+            SystemKind::Pack,
+            fabric,
+            SchedMode::Event,
+            mixed_requestors(SystemKind::Pack),
+        );
+        let mut probe = RunProbe::default();
+        run_system_probed(&topo, &mut probe).expect("verifies");
+        probe.sched
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn an_empty_program_requestor_completes_on_a_fabric() {
+    // An engine with nothing to run is done before its first tick. It
+    // must still tick once and finish, in both modes, not park forever.
+    let idle = Kernel {
+        name: "idle".into(),
+        image: Vec::new(),
+        storage_size: 4096,
+        program: Arc::new(Program::default()),
+        expected: Vec::new(),
+        read_only_streams: true,
+        useful_bytes: 0,
+    };
+    let mut requestors = mixed_requestors(SystemKind::Pack);
+    requestors.insert(2, Requestor::new(SystemKind::Pack, idle));
+    let fabric = FabricSpec::tree(2).with_channels(2);
+    let reports: Vec<String> = [SchedMode::Event, SchedMode::Lockstep]
+        .into_iter()
+        .map(|sched| {
+            let topo = fabric_topology(SystemKind::Pack, fabric, sched, requestors.clone());
+            let report = run_system(&topo).unwrap_or_else(|e| panic!("{sched}: {e}"));
+            assert_eq!(
+                report.requestors[2].cycles, 1,
+                "{sched}: the idle requestor"
+            );
+            format!("{report:?}")
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1]);
+}
+
+/// Runs a fault-stalled fabric in one mode and returns its hang report.
+fn fabric_hang(
+    spec: FaultSpec,
+    dataflow: Dataflow,
+    max_cycles: u64,
+    sched: SchedMode,
+) -> HangReport {
+    let mut sys = SystemConfig::paper(SystemKind::Pack);
+    sys.sched = sched;
+    sys.watchdog = 3_000;
+    sys.max_cycles = max_cycles;
+    sys.fault = Some(spec);
+    let p = sys.kernel_params();
+    let requestors = (0..6u64).map(|i| {
+        let kernel = if i % 2 == 0 {
+            gemv::build(16, 80 + i, dataflow, &p)
+        } else {
+            scatter::build(24, 1.5, 90 + i, &p)
+        };
+        Requestor::new(SystemKind::Pack, kernel)
+    });
+    let topo = Topology::builder(&sys)
+        .requestors(requestors)
+        .fabric(FabricSpec::tree(2).with_channels(2))
+        .build()
+        .expect("DRC-clean");
+    match run_system(&topo) {
+        Err(RunError::Hang(h)) => *h,
+        other => panic!("{sched}: a wedged fabric must hang, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_stormed_fabric_hangs_identically_in_both_modes() {
+    // A grant storm that never lifts parks every engine on a full AR or
+    // AW FIFO. The watchdog must fire on the same cycle, with the same
+    // suspect and the same component states, as in lockstep.
+    let mut spec = FaultSpec::silent(2);
+    spec.grant_storm_period = 1;
+    spec.grant_storm_len = u32::MAX;
+    let ev = fabric_hang(spec, Dataflow::ColWise, 1_000_000, SchedMode::Event);
+    let lk = fabric_hang(spec, Dataflow::ColWise, 1_000_000, SchedMode::Lockstep);
+    assert!(
+        ev.no_progress,
+        "the watchdog, not the cycle ceiling, fired:\n{ev}"
+    );
+    assert_eq!(ev, lk);
+}
+
+#[test]
+fn a_bank_stalled_fabric_hangs_identically_in_both_modes() {
+    // Permanent bank-delay spikes starve every response. Column-wise
+    // engines stop progressing and the watchdog fires; row-wise engines
+    // park on scalar stores, whose stall cycles count as progress in
+    // lockstep, so the run must instead reach the cycle ceiling in both
+    // modes.
+    let mut spec = FaultSpec::silent(1);
+    spec.bank_delay_period = 1;
+    spec.bank_delay_len = u32::MAX;
+    for (dataflow, watchdog_fires) in [(Dataflow::ColWise, true), (Dataflow::RowWise, false)] {
+        let ev = fabric_hang(spec, dataflow, 20_000, SchedMode::Event);
+        let lk = fabric_hang(spec, dataflow, 20_000, SchedMode::Lockstep);
+        assert_eq!(ev.no_progress, watchdog_fires, "{dataflow:?}:\n{ev}");
+        assert_eq!(ev, lk, "{dataflow:?}");
     }
 }

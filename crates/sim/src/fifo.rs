@@ -128,7 +128,12 @@ impl<T> Fifo<T> {
     /// ticks.
     #[inline]
     pub fn end_cycle(&mut self) {
-        self.queue.append(&mut self.staged);
+        // Most FIFOs of a large fabric stage nothing in a given cycle;
+        // skipping the empty append keeps their end of cycle to one
+        // length read.
+        if !self.staged.is_empty() {
+            self.queue.append(&mut self.staged);
+        }
         debug_assert!(
             self.queue.len() <= self.capacity,
             "fifo overflow: {} > {}",

@@ -145,6 +145,78 @@ impl InFlight {
             Class::Store { done } => *done,
         }
     }
+
+    /// Elements the lanes could process for this entry now, before the
+    /// shared lane budget, given each producer's `progress` (0 for
+    /// loads, stores and reduction tails).
+    #[inline]
+    fn lane_work(&self, progress: impl Fn(u64) -> usize) -> usize {
+        match &self.class {
+            Class::Compute { srcs, .. } => srcs
+                .iter()
+                .map(|s| progress(*s))
+                .min()
+                .unwrap_or(usize::MAX)
+                .min(self.vl)
+                .saturating_sub(self.produced),
+            Class::Reduction { src, consumed, .. } => {
+                progress(*src).min(self.vl).saturating_sub(*consumed)
+            }
+            Class::Load | Class::Store { .. } => 0,
+        }
+    }
+}
+
+/// What the frontend would do if ticked now; shared by the tick, the
+/// wake classification and the parking test so they cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Frontend {
+    /// Burning a scalar stall with this many ticks left.
+    Stalled(u32),
+    /// The in-flight window is full.
+    WindowFull,
+    /// Blocked on a scalar store whose producer is still in flight; each
+    /// tick counts a scalar stall cycle.
+    ScalarStoreBlocked,
+    /// The next instruction issues.
+    Issue,
+    /// Every instruction has issued.
+    Finished,
+}
+
+/// Why an engine is parked on its leaf FIFOs (see [`Engine::parked`]):
+/// which per-tick stall counters each skipped tick books, and which
+/// FIFOs besides R and B can wake it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Parked {
+    /// An issuing load is blocked on a full AR FIFO; books
+    /// `ar_stall_cycles`.
+    pub ar: bool,
+    /// The active store's next AW is blocked on a full AW FIFO.
+    pub aw: bool,
+    /// The active store's next W beat is data-ready but the W FIFO is
+    /// full; books `w_stall_cycles`.
+    pub w: bool,
+    /// The frontend is blocked on a scalar store of a live producer;
+    /// books `scalar_stall_cycles`.
+    pub scalar: bool,
+}
+
+impl Parked {
+    /// `true` once a leaf FIFO changed in a way that lets the parked
+    /// engine act: a response arrived, or a FIFO it is blocked on has
+    /// room. Exact when queried where the engine would tick — before any
+    /// other component of the cycle — because the engine is the only
+    /// producer of its AR/AW/W FIFOs and `can_push` only changes at
+    /// `end_cycle`.
+    #[inline]
+    pub fn woken(self, ch: &AxiChannels) -> bool {
+        ch.r.can_pop()
+            || ch.b.can_pop()
+            || (self.ar && ch.ar.can_push())
+            || (self.aw && ch.aw.can_push())
+            || (self.w && ch.w.can_push())
+    }
 }
 
 /// One load's bus activity.
@@ -464,31 +536,16 @@ impl Engine {
                     ch.aw.push(aw);
                 }
             }
-            if run.unlocked_w > 0 {
-                let src_uid = run.src_uid;
-                let ready = match run.ws.front() {
-                    Some((_, need)) => {
-                        let avail = match src_uid {
-                            Some(uid) if uid != NO_WRITER => {
-                                self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
-                            }
-                            _ => usize::MAX,
-                        };
-                        avail >= *need
-                    }
-                    None => false,
-                };
-                if ready {
-                    if ch.w.can_push() {
-                        let run = self.store_active.as_mut().expect("still active");
-                        let (w, _) = run.ws.pop_front().expect("front checked");
-                        run.unlocked_w -= 1;
-                        self.stats.w_beats += 1;
-                        self.stats.w_payload += w.payload_bytes() as u64;
-                        ch.w.push(w);
-                    } else {
-                        self.stats.w_stall_cycles += 1;
-                    }
+            if self.store_active.as_ref().is_some_and(|r| self.w_ready(r)) {
+                if ch.w.can_push() {
+                    let run = self.store_active.as_mut().expect("still active");
+                    let (w, _) = run.ws.pop_front().expect("front checked");
+                    run.unlocked_w -= 1;
+                    self.stats.w_beats += 1;
+                    self.stats.w_payload += w.payload_bytes() as u64;
+                    ch.w.push(w);
+                } else {
+                    self.stats.w_stall_cycles += 1;
                 }
             }
             // All data sent: only the B response is outstanding; free the
@@ -554,9 +611,33 @@ impl Engine {
         is_index
     }
 
+    /// Whether the active store's next W beat is unlocked by a sent AW
+    /// and its data has been produced.
+    #[inline]
+    fn w_ready(&self, run: &StoreRun) -> bool {
+        run.unlocked_w > 0
+            && run
+                .ws
+                .front()
+                .is_some_and(|(_, need)| self.producer_avail(run.src_uid) >= *need)
+    }
+
     /// Starts the front memory operation when the VLSU ordering allows.
     fn try_start_mem(&mut self) {
-        let can_start = match self.mem_q.front() {
+        if self.mem_can_start() {
+            match self.mem_q.pop_front().expect("front checked") {
+                MemRun::Load(run) => self.load_issuing = Some(run),
+                MemRun::Store(run) => self.store_active = Some(run),
+                MemRun::Ideal(_) => unreachable!(),
+            }
+        }
+    }
+
+    /// Whether the VLSU ordering lets the front queued AXI memory
+    /// operation start.
+    #[inline]
+    fn mem_can_start(&self) -> bool {
+        match self.mem_q.front() {
             None => false,
             Some(MemRun::Load(_)) => {
                 // A younger load may start once the older store has *sent*
@@ -578,13 +659,6 @@ impl Engine {
                     && self.loads_draining.is_empty()
             }
             Some(MemRun::Ideal(_)) => unreachable!("ideal runs use tick_ideal_mem"),
-        };
-        if can_start {
-            match self.mem_q.pop_front().expect("front checked") {
-                MemRun::Load(run) => self.load_issuing = Some(run),
-                MemRun::Store(run) => self.store_active = Some(run),
-                MemRun::Ideal(_) => unreachable!(),
-            }
         }
     }
 
@@ -620,22 +694,16 @@ impl Engine {
             self.stats.r_util_data.record_idle();
             return;
         }
-        let avail = match run.src_uid {
-            Some(uid) if uid != NO_WRITER => {
-                self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
-            }
-            _ => usize::MAX,
-        };
         let step = self
-            .cfg
-            .lanes
-            .min(run.total - run.transferred)
-            .min(avail.saturating_sub(run.transferred));
+            .ideal_active
+            .as_ref()
+            .map_or(0, |run| self.ideal_step(run));
         if step == 0 {
             self.stats.r_util.record_idle();
             self.stats.r_util_data.record_idle();
             return;
         }
+        let run = self.ideal_active.as_mut().expect("checked above");
         run.transferred += step;
         self.ideal_last_active = self.stats.cycles;
         let is_store = run.is_store;
@@ -667,6 +735,17 @@ impl Engine {
         if finished {
             self.ideal_active = None;
         }
+    }
+
+    /// Elements the IDEAL port can move for `run` this tick once its
+    /// access latency has passed: bounded by the lanes, the remaining
+    /// elements, and (for stores) the producer's progress.
+    #[inline]
+    fn ideal_step(&self, run: &IdealRun) -> usize {
+        self.cfg.lanes.min(run.total - run.transferred).min(
+            self.producer_avail(run.src_uid)
+                .saturating_sub(run.transferred),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -707,35 +786,16 @@ impl Engine {
             let Some(entry) = self.window.get_mut(&uid) else {
                 continue;
             };
+            let step = budget.min(entry.lane_work(progress));
             match &mut entry.class {
-                Class::Compute {
-                    srcs,
-                    flops_per_elem,
-                } => {
-                    let avail = srcs
-                        .iter()
-                        .map(|s| progress(*s))
-                        .min()
-                        .unwrap_or(usize::MAX)
-                        .min(entry.vl);
-                    let step = budget
-                        .min(avail.saturating_sub(entry.produced))
-                        .min(entry.vl - entry.produced);
+                Class::Compute { flops_per_elem, .. } => {
                     entry.produced += step;
                     budget -= step;
                     self.stats.lane_elems += step as u64;
                     self.stats.flops += step as u64 * *flops_per_elem;
                 }
-                Class::Reduction {
-                    src,
-                    consumed,
-                    tail,
-                } => {
+                Class::Reduction { consumed, tail, .. } => {
                     if *consumed < entry.vl {
-                        let avail = progress(*src).min(entry.vl);
-                        let step = budget
-                            .min(avail.saturating_sub(*consumed))
-                            .min(entry.vl - *consumed);
                         *consumed += step;
                         budget -= step;
                         self.stats.lane_elems += step as u64;
@@ -756,31 +816,55 @@ impl Engine {
     // Frontend
     // ------------------------------------------------------------------
 
-    fn tick_frontend(&mut self, storage: &mut Storage) {
+    /// Classifies the frontend's next tick from settled state.
+    #[inline]
+    fn frontend(&self) -> Frontend {
         if self.scalar_stall > 0 {
-            self.scalar_stall -= 1;
-            self.stats.scalar_stall_cycles += 1;
-            return;
+            return Frontend::Stalled(self.scalar_stall);
         }
         if self.window.len() >= self.cfg.window {
-            return;
+            return Frontend::WindowFull;
         }
         // CVA6 blocks on the value of a scalar store (e.g. the reduction
         // result written back after each row): the next vector instruction
         // cannot issue until the producer completes. This is what keeps
         // row-wise dataflows reduction-bound in the paper's Fig. 3b/3c.
-        if let Some(VInsn::ScalarStoreF32 { vs, .. }) = self.program.insns().get(self.pc) {
-            let producer = self.reg_writer[*vs as usize];
-            if producer != NO_WRITER && self.window.contains_key(&producer) {
+        match self.program.insns().get(self.pc) {
+            None => Frontend::Finished,
+            Some(VInsn::ScalarStoreF32 { vs, .. }) => {
+                let producer = self.reg_writer[*vs as usize];
+                if producer != NO_WRITER && self.window.contains_key(&producer) {
+                    Frontend::ScalarStoreBlocked
+                } else {
+                    Frontend::Issue
+                }
+            }
+            Some(_) => Frontend::Issue,
+        }
+    }
+
+    fn tick_frontend(&mut self, storage: &mut Storage) {
+        match self.frontend() {
+            Frontend::Stalled(_) => {
+                self.scalar_stall -= 1;
                 self.stats.scalar_stall_cycles += 1;
                 return;
             }
+            Frontend::ScalarStoreBlocked => {
+                self.stats.scalar_stall_cycles += 1;
+                return;
+            }
+            Frontend::WindowFull | Frontend::Finished => return,
+            Frontend::Issue => {}
         }
         // Instructions are tiny flat enums; cloning one out of the shared
         // program is a register-width copy, not a heap operation.
-        let Some(insn) = self.program.insns().get(self.pc).cloned() else {
-            return;
-        };
+        let insn = self
+            .program
+            .insns()
+            .get(self.pc)
+            .cloned()
+            .expect("an issuing frontend has an instruction");
         self.pc += 1;
         self.stats.issued += 1;
         self.exec_functional(&insn, storage);
@@ -974,12 +1058,42 @@ impl Engine {
 
     /// A producer's settled progress, [`usize::MAX`] when retired or
     /// absent (no writer).
+    #[inline]
     fn progress_of(&self, uid: u64) -> usize {
         if uid == NO_WRITER {
             usize::MAX
         } else {
             self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
         }
+    }
+
+    /// Elements a store's producer has made available, [`usize::MAX`]
+    /// for a store with no producer in flight.
+    #[inline]
+    fn producer_avail(&self, src_uid: Option<u64>) -> usize {
+        src_uid.map_or(usize::MAX, |uid| self.progress_of(uid))
+    }
+
+    /// Wake of the compute lanes: `Ready` when any compute or reduction
+    /// can consume, `Sleep` until the first reduction tail expires,
+    /// otherwise `Idle`. Blocked consumers are governed by their
+    /// producer's wake; load/store window entries by the back-end.
+    fn lane_wake(&self) -> Wake {
+        let mut wake = Wake::Idle;
+        for uid in &self.order {
+            let Some(entry) = self.window.get(uid) else {
+                continue;
+            };
+            if entry.lane_work(|u| self.progress_of(u)) > 0 {
+                return Wake::Ready;
+            }
+            if let Class::Reduction { consumed, tail, .. } = entry.class {
+                if consumed >= entry.vl && tail > 0 {
+                    wake = wake.merge(Wake::Sleep(tail as u64));
+                }
+            }
+        }
+        wake
     }
 
     /// Classifies the engine's wake status at a cycle boundary.
@@ -993,90 +1107,106 @@ impl Engine {
     /// reduction tails, and the IDEAL port's access latency. The contract
     /// is exact: if this returns `Sleep(n)`, then `n` lockstep ticks would
     /// perform only the bookkeeping [`Engine::fast_forward`] replays.
+    /// [`Engine::parked`] is the finer, bus-aware test for blocked AXI
+    /// engines.
     pub fn next_wake(&self) -> Wake {
-        let mut countdown = u64::MAX;
         // Memory back-end. A pending or issuing run makes progress (or
         // contends for the bus) every cycle; draining runs wait on R/B
         // beats and contribute nothing of their own.
         if !self.mem_q.is_empty() || self.load_issuing.is_some() || self.store_active.is_some() {
             return Wake::Ready;
         }
-        if let Some(run) = &self.ideal_active {
-            if run.latency_left > 0 {
-                countdown = countdown.min(run.latency_left as u64);
-            } else {
-                let avail = match run.src_uid {
-                    Some(uid) if uid != NO_WRITER => self.progress_of(uid),
-                    _ => usize::MAX,
-                };
-                let step = self
-                    .cfg
-                    .lanes
-                    .min(run.total - run.transferred)
-                    .min(avail.saturating_sub(run.transferred));
-                if step > 0 {
-                    return Wake::Ready;
+        let mem = match &self.ideal_active {
+            Some(run) if run.latency_left > 0 => Wake::Sleep(run.latency_left as u64),
+            Some(run) if self.ideal_step(run) > 0 => Wake::Ready,
+            // Blocked on a producer: that producer's own wake governs.
+            _ => Wake::Idle,
+        };
+        // Frontend: a scalar stall is a countdown; a full window, a
+        // finished program and a scalar store of a live producer (whose
+        // per-tick stall statistic `fast_forward` replays) block.
+        let frontend = match self.frontend() {
+            Frontend::Stalled(left) => Wake::Sleep(left as u64),
+            Frontend::Issue => Wake::Ready,
+            Frontend::WindowFull | Frontend::ScalarStoreBlocked | Frontend::Finished => Wake::Idle,
+        };
+        mem.merge(frontend).merge(self.lane_wake())
+    }
+
+    /// Whether this BASE/PACK engine is *parked*: its next tick, given
+    /// the start-of-cycle state of its leaf channels `ch`, would only
+    /// book per-tick stall counters, and every later tick would too until
+    /// [`Parked::woken`] holds. Returns the reason, which
+    /// [`Engine::skip_parked`] needs to replay the skipped ticks.
+    ///
+    /// That is the case when R and B are empty, no memory operation can
+    /// start, no lane or frontend work is ready, and the active load or
+    /// store (if any) is blocked on a full AR, AW or W FIFO. `None` for
+    /// IDEAL engines and for a [`Engine::done`] engine, which must tick
+    /// so the run loop sees it finish.
+    pub fn parked(&self, ch: &AxiChannels) -> Option<Parked> {
+        if self.kind == SystemKind::Ideal
+            || ch.r.can_pop()
+            || ch.b.can_pop()
+            || self.done()
+            || self.mem_can_start()
+        {
+            return None;
+        }
+        let mut p = Parked::default();
+        if let Some(run) = &self.load_issuing {
+            // With requests left, a free AR slot means a push; without,
+            // the tick retires the run to the draining set.
+            if run.reqs.is_empty() || ch.ar.can_push() {
+                return None;
+            }
+            p.ar = true;
+        }
+        if let Some(run) = &self.store_active {
+            if run.aws.is_empty() && run.ws.is_empty() {
+                return None;
+            }
+            if !run.aws.is_empty() {
+                if ch.aw.can_push() {
+                    return None;
                 }
-                // Blocked on a producer: that producer's own wake governs.
+                p.aw = true;
+            }
+            if self.w_ready(run) {
+                if ch.w.can_push() {
+                    return None;
+                }
+                p.w = true;
             }
         }
-        // Lanes: any compute or reduction that can consume produces work.
-        // Blocked consumers are governed by their producer's wake (checked
-        // in the same pass); load/store window entries by the back-end.
-        for uid in &self.order {
-            let Some(entry) = self.window.get(uid) else {
-                continue;
-            };
-            match &entry.class {
-                Class::Compute { srcs, .. } => {
-                    let avail = srcs
-                        .iter()
-                        .map(|s| self.progress_of(*s))
-                        .min()
-                        .unwrap_or(usize::MAX)
-                        .min(entry.vl);
-                    if avail > entry.produced {
-                        return Wake::Ready;
-                    }
-                }
-                Class::Reduction {
-                    src,
-                    consumed,
-                    tail,
-                } => {
-                    if *consumed < entry.vl {
-                        if self.progress_of(*src).min(entry.vl) > *consumed {
-                            return Wake::Ready;
-                        }
-                    } else if *tail > 0 {
-                        countdown = countdown.min(*tail as u64);
-                    }
-                }
-                Class::Load | Class::Store { .. } => {}
-            }
+        match self.frontend() {
+            Frontend::Stalled(_) | Frontend::Issue => return None,
+            Frontend::ScalarStoreBlocked => p.scalar = true,
+            Frontend::WindowFull | Frontend::Finished => {}
         }
-        // Frontend, mirroring `tick_frontend`'s check order: a scalar
-        // stall is a countdown; a full window blocks silently; a scalar
-        // store of a live producer blocks (with a per-tick stall statistic
-        // that `fast_forward` replays); anything else issues.
-        if self.scalar_stall > 0 {
-            countdown = countdown.min(self.scalar_stall as u64);
-        } else if self.window.len() < self.cfg.window {
-            match self.program.insns().get(self.pc) {
-                Some(VInsn::ScalarStoreF32 { vs, .. }) => {
-                    let producer = self.reg_writer[*vs as usize];
-                    if producer == NO_WRITER || !self.window.contains_key(&producer) {
-                        return Wake::Ready;
-                    }
-                }
-                Some(_) => return Wake::Ready,
-                None => {}
-            }
+        if self.lane_wake() != Wake::Idle {
+            return None;
         }
-        if countdown == u64::MAX {
-            Wake::Idle
-        } else {
-            Wake::Sleep(countdown)
+        Some(p)
+    }
+
+    /// Replays `n` ticks of an engine [`Engine::parked`] for reason `p`
+    /// on leaf FIFOs that did not change meanwhile: the cycle count, one
+    /// idle R sample per utilization tracker, and the stall counters the
+    /// reason books. The result, statistics included, is identical to
+    /// ticking `n` times.
+    pub fn skip_parked(&mut self, p: Parked, n: u64) {
+        self.stats.cycles += n;
+        self.stats.r_util.record_idle_n(n);
+        self.stats.r_util_data.record_idle_n(n);
+        if p.ar {
+            self.stats.ar_stall_cycles += n;
+        }
+        if p.w {
+            self.stats.w_stall_cycles += n;
+        }
+        if p.scalar {
+            self.stats.scalar_stall_cycles += n;
         }
     }
 
@@ -1099,17 +1229,14 @@ impl Engine {
         // The window cannot change before the frontend runs within a tick
         // (retirement sweeps at tick end), so the pre-span membership
         // check is valid for the whole span.
-        if self.scalar_stall > 0 {
-            debug_assert!(span <= self.scalar_stall as u64, "slept through a wake");
-            self.scalar_stall -= span as u32;
-            self.stats.scalar_stall_cycles += span;
-        } else if self.window.len() < self.cfg.window {
-            if let Some(VInsn::ScalarStoreF32 { vs, .. }) = self.program.insns().get(self.pc) {
-                let producer = self.reg_writer[*vs as usize];
-                if producer != NO_WRITER && self.window.contains_key(&producer) {
-                    self.stats.scalar_stall_cycles += span;
-                }
+        match self.frontend() {
+            Frontend::Stalled(left) => {
+                debug_assert!(span <= left as u64, "slept through a wake");
+                self.scalar_stall -= span as u32;
+                self.stats.scalar_stall_cycles += span;
             }
+            Frontend::ScalarStoreBlocked => self.stats.scalar_stall_cycles += span,
+            Frontend::WindowFull | Frontend::Issue | Frontend::Finished => {}
         }
         // Reduction tails count down once per tick regardless of the lane
         // budget (nothing else can be consuming it — the span proof).
@@ -1976,5 +2103,220 @@ mod tests {
             format!("{:?}", ticker.stats()),
             "fast_forward diverged across load + stall phases"
         );
+    }
+
+    /// Fills a FIFO to capacity and registers the occupancy.
+    fn fill<T>(fifo: &mut simkit::Fifo<T>, item: impl Fn() -> T) {
+        while fifo.can_push() {
+            fifo.push(item());
+        }
+        fifo.end_cycle();
+    }
+
+    fn full_ar(ch: &mut AxiChannels) {
+        fill(&mut ch.ar, || ArBeat::narrow(0, 0, ElemSize::B4));
+    }
+
+    fn full_aw(ch: &mut AxiChannels) {
+        fill(&mut ch.aw, || ArBeat::narrow(0, 0, ElemSize::B4));
+    }
+
+    fn full_w(ch: &mut AxiChannels) {
+        fill(&mut ch.w, || WBeat {
+            data: BeatBuf::zeroed(bus().data_bytes()),
+            strb: 0,
+            last: true,
+        });
+    }
+
+    /// Occupancy and lifetime traffic of every channel, to show a leaf
+    /// did not change.
+    fn leaf_state(ch: &AxiChannels) -> [(usize, u64, u64); 5] {
+        [
+            (ch.ar.len(), ch.ar.total_pushed(), ch.ar.total_popped()),
+            (ch.aw.len(), ch.aw.total_pushed(), ch.aw.total_popped()),
+            (ch.w.len(), ch.w.total_pushed(), ch.w.total_popped()),
+            (ch.r.len(), ch.r.total_pushed(), ch.r.total_popped()),
+            (ch.b.len(), ch.b.total_pushed(), ch.b.total_popped()),
+        ]
+    }
+
+    /// Drives twin engines until they park on a leaf prepared by `setup`
+    /// (nothing ever answers on R or B), then replays `n` ticks on one
+    /// with `skip_parked` and really ticks the other `n` times. Both must
+    /// land in the same state, statistics included, on an unchanged leaf.
+    fn park_equals_ticks(
+        kind: SystemKind,
+        program: Program,
+        setup: fn(&mut AxiChannels),
+        expect: Parked,
+    ) {
+        let cfg = VprocConfig::default();
+        let mut skipper = Engine::new(cfg, kind, bus(), program.clone());
+        let mut ticker = Engine::new(cfg, kind, bus(), program);
+        let (mut ch_s, mut ch_t) = (AxiChannels::new(), AxiChannels::new());
+        setup(&mut ch_s);
+        setup(&mut ch_t);
+        let (mut st_s, mut st_t) = (patterned_storage(), patterned_storage());
+        let mut guard = 0;
+        let p = loop {
+            if let Some(p) = skipper.parked(&ch_s) {
+                break p;
+            }
+            skipper.tick(Some(&mut ch_s), &mut st_s);
+            ticker.tick(Some(&mut ch_t), &mut st_t);
+            ch_s.end_cycle();
+            ch_t.end_cycle();
+            guard += 1;
+            assert!(guard < 1_000, "engine never parked");
+        };
+        assert_eq!(p, expect);
+        assert_eq!(ticker.parked(&ch_t), Some(p), "twins diverged");
+        assert!(!p.woken(&ch_s), "a fresh park must not be woken");
+        let n = 37;
+        let before = leaf_state(&ch_t);
+        skipper.skip_parked(p, n);
+        for _ in 0..n {
+            ticker.tick(Some(&mut ch_t), &mut st_t);
+            ch_t.end_cycle();
+        }
+        assert_eq!(
+            leaf_state(&ch_t),
+            before,
+            "a parked engine touched its leaf"
+        );
+        assert_eq!(
+            format!("{:?}", skipper.stats()),
+            format!("{:?}", ticker.stats()),
+            "skip_parked diverged from {n} ticks"
+        );
+        assert_eq!(skipper.describe_state(), ticker.describe_state());
+        assert_eq!(
+            skipper.parked(&ch_s),
+            Some(p),
+            "still parked after the replay"
+        );
+        assert_eq!(ticker.parked(&ch_t), Some(p));
+    }
+
+    #[test]
+    fn a_load_parks_on_a_full_ar_fifo() {
+        let p = ProgramBuilder::new().set_vl(8).vlse(1, 0x0, 3).build();
+        let expect = Parked {
+            ar: true,
+            ..Parked::default()
+        };
+        park_equals_ticks(SystemKind::Base, p, full_ar, expect);
+    }
+
+    #[test]
+    fn a_store_parks_on_a_full_aw_fifo() {
+        // v1 has no in-flight writer, so only the AW channel blocks.
+        let p = ProgramBuilder::new().set_vl(8).vse(1, 0x1000).build();
+        let expect = Parked {
+            aw: true,
+            ..Parked::default()
+        };
+        park_equals_ticks(SystemKind::Pack, p, full_aw, expect);
+    }
+
+    #[test]
+    fn a_store_parks_on_a_full_w_fifo() {
+        // The AW goes out, unlocking a data-ready W beat that cannot.
+        let p = ProgramBuilder::new().set_vl(8).vse(1, 0x1000).build();
+        let expect = Parked {
+            w: true,
+            ..Parked::default()
+        };
+        park_equals_ticks(SystemKind::Pack, p, full_w, expect);
+    }
+
+    #[test]
+    fn a_scalar_store_parks_on_its_live_producer() {
+        // The reduction waits on a load whose R beats never come, so the
+        // scalar store of its result blocks the frontend every tick.
+        let p = ProgramBuilder::new()
+            .set_vl(8)
+            .vle(1, 0x0)
+            .vfredsum(2, 1)
+            .scalar_store_f32(2, 0x2000)
+            .build();
+        let expect = Parked {
+            scalar: true,
+            ..Parked::default()
+        };
+        park_equals_ticks(SystemKind::Pack, p, |_| {}, expect);
+    }
+
+    #[test]
+    fn a_drained_program_parks_on_its_responses() {
+        // Everything issued; only R beats can wake the engine.
+        let p = ProgramBuilder::new().set_vl(8).vle(1, 0x0).build();
+        park_equals_ticks(SystemKind::Base, p, |_| {}, Parked::default());
+    }
+
+    #[test]
+    fn parking_blocks_and_wakes_on_each_park_reason() {
+        let ch = AxiChannels::new();
+        assert!(!Parked::default().woken(&ch));
+        for p in [
+            Parked {
+                ar: true,
+                ..Parked::default()
+            },
+            Parked {
+                aw: true,
+                ..Parked::default()
+            },
+            Parked {
+                w: true,
+                ..Parked::default()
+            },
+        ] {
+            assert!(p.woken(&ch), "{p:?}: free space must wake");
+        }
+        let mut full = AxiChannels::new();
+        full_ar(&mut full);
+        full_aw(&mut full);
+        full_w(&mut full);
+        let all = Parked {
+            ar: true,
+            aw: true,
+            w: true,
+            scalar: true,
+        };
+        assert!(!all.woken(&full), "full FIFOs hold the engine parked");
+    }
+
+    #[test]
+    fn a_done_engine_never_parks() {
+        // An empty program is done before its first tick; parking it would
+        // hide its completion from the run loop.
+        let cfg = VprocConfig::default();
+        let mut engine = Engine::new(cfg, SystemKind::Pack, bus(), Program::default());
+        let mut ch = AxiChannels::new();
+        assert!(engine.done());
+        assert_eq!(engine.parked(&ch), None);
+        engine.tick(Some(&mut ch), &mut patterned_storage());
+        assert_eq!(engine.parked(&ch), None);
+        // A finished program with nothing outstanding is done too.
+        let p = ProgramBuilder::new().set_vl(8).build();
+        let mut engine = Engine::new(cfg, SystemKind::Pack, bus(), p);
+        engine.tick(Some(&mut ch), &mut patterned_storage());
+        assert!(engine.done());
+        assert_eq!(engine.parked(&ch), None);
+    }
+
+    #[test]
+    fn ideal_engines_and_ready_engines_do_not_park() {
+        let cfg = VprocConfig::default();
+        let ch = AxiChannels::new();
+        let p = ProgramBuilder::new().scalar(20).build();
+        let ideal = Engine::new(cfg, SystemKind::Ideal, bus(), p.clone());
+        assert_eq!(ideal.parked(&ch), None, "IDEAL runs without a bus");
+        let mut engine = Engine::new(cfg, SystemKind::Pack, bus(), p);
+        assert_eq!(engine.parked(&ch), None, "an issuable instruction is work");
+        engine.tick(Some(&mut AxiChannels::new()), &mut patterned_storage());
+        assert_eq!(engine.parked(&ch), None, "a scalar stall is a countdown");
     }
 }

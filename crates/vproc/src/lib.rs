@@ -37,6 +37,6 @@ pub mod isa;
 pub mod regfile;
 
 pub use config::{SystemKind, VprocConfig};
-pub use engine::{BusFault, Engine, EngineStats};
+pub use engine::{BusFault, Engine, EngineStats, Parked};
 pub use isa::{Program, ProgramBuilder, VInsn, VReg};
 pub use regfile::RegFile;
