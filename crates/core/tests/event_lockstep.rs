@@ -22,7 +22,8 @@ use axi_pack::{
     RunReport, SchedMode, SystemConfig, Topology,
 };
 use simkit::fault::{FaultSpec, HangReport};
-use vproc::{Program, SystemKind};
+use vproc::{Program, ProgramBuilder, SystemKind};
+use workloads::kernel::Check;
 use workloads::{gemv, scatter, spmv, synth, CsrMatrix, Dataflow, Kernel};
 
 const KINDS: [SystemKind; 3] = [SystemKind::Base, SystemKind::Pack, SystemKind::Ideal];
@@ -165,6 +166,70 @@ fn corpus_topologies_agree_across_modes() {
         for (r, (e, l)) in ev.requestors.iter().zip(&lk.requestors).enumerate() {
             assert_reports_identical(e, l, &format!("{ctx}, requestor {r}"));
         }
+    }
+}
+
+/// Two loads, then ten reductions (each with the full reduction tail)
+/// interleaved with chained computes: more vector instructions than the
+/// engine's 16-entry window holds, with computes that retire ahead of the
+/// older reductions still in their tails.
+fn window_kernel() -> Kernel {
+    let a: Vec<f32> = (0..64).map(|k| k as f32).collect();
+    let b: Vec<f32> = (0..64).map(|k| 1.0 + (k % 5) as f32).collect();
+    let mut p = ProgramBuilder::new()
+        .set_vl(64)
+        .vle(1, 0x0)
+        .vle(2, 0x1000)
+        .vfmul(3, 1, 2);
+    for k in 0..10u8 {
+        p = p.vfredsum(12 + k, 1).vfadd(4 + k % 2, 3 + k % 2, 2);
+    }
+    for k in 0..10u8 {
+        p = p.scalar_store_f32(12 + k, 0x4000 + 4 * u64::from(k));
+    }
+    let bytes = |v: &[f32]| -> Arc<[u8]> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+    let check = |addr, values: Vec<f32>, label: &str| Check {
+        addr,
+        values: values.into(),
+        label: label.into(),
+    };
+    let sum: f32 = a.iter().sum();
+    let v4: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x * y + y).collect();
+    Kernel {
+        name: "window".into(),
+        image: vec![(0x0, bytes(&a)), (0x1000, bytes(&b))],
+        storage_size: 0x6000,
+        program: Arc::new(p.vse(4, 0x5000).build()),
+        expected: vec![
+            check(0x4000, vec![sum; 10], "reductions"),
+            check(0x5000, v4, "chain"),
+        ],
+        read_only_streams: true,
+        useful_bytes: 3 * 64 * 4,
+    }
+}
+
+#[test]
+fn a_full_window_with_out_of_order_retirement_agrees_across_modes() {
+    let kernel = window_kernel();
+    for kind in KINDS {
+        let ctx = format!("window kernel on {kind}");
+        let mut ev_probe = RunProbe::default();
+        let ev = run_kernel_probed(&system(kind, SchedMode::Event), &kernel, &mut ev_probe)
+            .unwrap_or_else(|e| panic!("{ctx}: event run failed: {e}"));
+        let mut lk_probe = RunProbe::default();
+        let lk = run_kernel_probed(&system(kind, SchedMode::Lockstep), &kernel, &mut lk_probe)
+            .unwrap_or_else(|e| panic!("{ctx}: lockstep run failed: {e}"));
+        assert_eq!(
+            ev_probe.storage_digest, lk_probe.storage_digest,
+            "{ctx}: final memory differs between modes"
+        );
+        assert_reports_identical(&ev, &lk, &ctx);
+        assert_eq!(format!("{ev:?}"), format!("{lk:?}"), "{ctx}: report");
+        assert!(
+            ev_probe.sched.skipped_cycles > 0,
+            "{ctx}: the reduction tails were never skipped"
+        );
     }
 }
 

@@ -130,6 +130,13 @@ impl Adapter {
     /// One simulation cycle of adapter work against the channel FIFOs.
     pub fn tick(&mut self, ports: &mut AxiChannels) {
         self.cycles += 1;
+        // A quiescent adapter with no burst to accept does nothing else:
+        // no response to route, no W route open (a W beat without its AW
+        // stays put), no lane to grant, no beat to emit. This is the tick
+        // `skip_idle` replays, taken in lockstep as well.
+        if !ports.ar.can_pop() && !ports.aw.can_pop() && self.quiescent() {
+            return;
+        }
         // 1. Deliver last cycle's memory responses. The two response
         // buffers ping-pong: responses land in `pending_resps` at the
         // cycle boundary, are drained from `resp_scratch` here, and both
@@ -245,26 +252,25 @@ impl Adapter {
         }
         // 4. Bank port mux: arbitrate every word port among converters.
         // The O(1) converter-level activity gates skip the per-lane polls
-        // of the (usually three or four) converters with nothing planned.
-        let active = [
-            self.base.active(),
-            self.strided_r.active(),
-            self.strided_w.active(),
-            self.indirect_r.active(),
-            self.indirect_w.active(),
-        ];
-        for p in 0..self.cfg.ports() {
+        // of the (usually three or four) converters with nothing planned,
+        // and with none active the port loop is skipped outright. Requests
+        // are bitmasks (bit i = converter i) for the loop-free grant.
+        let active = u32::from(self.base.active())
+            | u32::from(self.strided_r.active()) << 1
+            | u32::from(self.strided_w.active()) << 2
+            | u32::from(self.indirect_r.active()) << 3
+            | u32::from(self.indirect_w.active()) << 4;
+        let ports_to_arbitrate = if active == 0 { 0 } else { self.cfg.ports() };
+        for p in 0..ports_to_arbitrate {
             if !self.mem.port_free(p) {
                 continue;
             }
-            let wants = [
-                active[0] && self.base.port_wants(p),
-                active[1] && self.strided_r.port_wants(p),
-                active[2] && self.strided_w.port_wants(p),
-                active[3] && self.indirect_r.port_wants(p),
-                active[4] && self.indirect_w.port_wants(p),
-            ];
-            let Some(winner) = self.port_arb[p].grant(&wants) else {
+            let wants = u32::from(active & 1 != 0 && self.base.port_wants(p))
+                | u32::from(active & 2 != 0 && self.strided_r.port_wants(p)) << 1
+                | u32::from(active & 4 != 0 && self.strided_w.port_wants(p)) << 2
+                | u32::from(active & 8 != 0 && self.indirect_r.port_wants(p)) << 3
+                | u32::from(active & 16 != 0 && self.indirect_w.port_wants(p)) << 4;
+            let Some(winner) = self.port_arb[p].grant_mask(wants) else {
                 continue;
             };
             let req = match winner {
@@ -284,12 +290,10 @@ impl Adapter {
         }
         // 5. R output arbitration: one beat per cycle.
         if ports.r.can_push() {
-            let avail = [
-                self.base_r_ready(),
-                self.strided_r_ready(),
-                self.indirect_r_ready(),
-            ];
-            if let Some(w) = self.r_arb.grant(&avail) {
+            let avail = u32::from(self.base_r_ready())
+                | u32::from(self.strided_r_ready()) << 1
+                | u32::from(self.indirect_r_ready()) << 2;
+            if let Some(w) = self.r_arb.grant_mask(avail) {
                 let beat = match w {
                     0 => self.base.pop_r(),
                     1 => self.strided_r.pop_r(),
@@ -303,12 +307,10 @@ impl Adapter {
         }
         // 5b. B output arbitration.
         if ports.b.can_push() {
-            let avail = [
-                self.base.has_b(),
-                self.strided_w.has_b(),
-                self.indirect_w.has_b(),
-            ];
-            if let Some(w) = self.b_arb.grant(&avail) {
+            let avail = u32::from(self.base.has_b())
+                | u32::from(self.strided_w.has_b()) << 1
+                | u32::from(self.indirect_w.has_b()) << 2;
+            if let Some(w) = self.b_arb.grant_mask(avail) {
                 let (id, resp) = match w {
                     0 => self.base.pop_b(),
                     1 => self.strided_w.pop_b(),
@@ -342,6 +344,9 @@ impl Adapter {
     // simcheck: hot-path end
 
     /// Returns `true` when the adapter, converters and memory are all idle.
+    ///
+    /// O(1): every converter, lane set and the memory keep counters.
+    #[inline]
     pub fn quiescent(&self) -> bool {
         self.base.idle()
             && self.strided_r.idle()
@@ -637,6 +642,42 @@ mod tests {
             cycles <= 32 + 16,
             "narrow stream should pipeline at ~1/cycle, took {cycles}"
         );
+    }
+
+    #[test]
+    fn idle_ticks_equal_skip_idle() {
+        // One adapter ticks through an idle stretch, with a W beat that
+        // has no AW waiting on its bundle; the other replays the stretch
+        // with `skip_idle`. The stray W beat must stay unpopped, and the
+        // two must then serve the same burst identically.
+        let (mut ticked, mut ports_t) = mk();
+        let (mut skipped, mut ports_s) = mk();
+        let bus = BusConfig::new(256);
+        ports_t.w.push(WBeat::full(vec![0xAB; 32], true));
+        ports_t.end_cycle();
+        for _ in 0..37 {
+            step(&mut ticked, &mut ports_t);
+            assert!(ticked.quiescent());
+        }
+        skipped.skip_idle(37);
+        assert_eq!(ticked.cycles(), skipped.cycles());
+        assert!(ports_t.w.can_pop(), "a W beat without its AW was consumed");
+        assert_eq!(ports_t.w.total_popped(), 0);
+        assert_eq!(ticked.w_beats(), 0);
+        ports_t.w.pop();
+        for ports in [&mut ports_t, &mut ports_s] {
+            ports
+                .ar
+                .push(ArBeat::packed_strided(1, 0x40, 16, ElemSize::B4, 3, &bus));
+            ports.end_cycle();
+        }
+        let beats_t = run_until_quiescent(&mut ticked, &mut ports_t, 200);
+        let beats_s = run_until_quiescent(&mut skipped, &mut ports_s, 200);
+        assert_eq!(beats_t, beats_s);
+        assert_eq!(ticked.cycles(), skipped.cycles());
+        assert_eq!(ticked.word_reads(), skipped.word_reads());
+        assert_eq!(ticked.bank_conflicts(), skipped.bank_conflicts());
+        assert_eq!(ticked.describe_state(), skipped.describe_state());
     }
 
     #[test]

@@ -202,6 +202,11 @@ pub struct LaneSet {
     /// Planned jobs across all lanes, maintained incrementally so the
     /// adapter's per-cycle activity gating is O(1).
     total_jobs: usize,
+    /// Credits taken across all lanes: words in flight or buffered as
+    /// responses (every buffered response still holds its credit).
+    credits_out: usize,
+    /// Lanes with an armed retry (`retry[l].is_some()`).
+    retrying: usize,
     /// Tag all requests carry.
     id: ConvId,
     word_bytes: usize,
@@ -217,6 +222,8 @@ impl LaneSet {
             awaiting: vec![0; ports],
             retry: (0..ports).map(|_| None).collect(),
             total_jobs: 0,
+            credits_out: 0,
+            retrying: 0,
             id,
             word_bytes,
         }
@@ -286,6 +293,7 @@ impl LaneSet {
         assert!(self.credits[lane].take(), "wants() guaranteed a credit");
         let job = self.jobs[lane].pop_front().expect("wants() checked front");
         self.total_jobs -= 1;
+        self.credits_out += 1;
         self.awaiting[lane] += 1;
         let (addr, op) = match job {
             LaneJob::Read { addr } => (addr, WordOp::Read),
@@ -333,6 +341,7 @@ impl LaneSet {
     pub fn pop_resp(&mut self, lane: usize) -> WordResp {
         let r = self.resp[lane].pop_front().expect("pop_resp on empty lane");
         self.credits[lane].put();
+        self.credits_out -= 1;
         r
     }
 
@@ -359,11 +368,14 @@ impl LaneSet {
     }
 
     /// Returns `true` when no jobs, responses, or in-flight words remain.
+    ///
+    /// O(1): a buffered response still holds its credit, so no credit out
+    /// also means every response queue is empty.
+    #[inline]
     pub fn idle(&self) -> bool {
-        self.jobs.iter().all(VecDeque::is_empty)
-            && self.resp.iter().all(VecDeque::is_empty)
-            && self.credits.iter().all(|c| c.in_flight() == 0)
-            && self.retry.iter().all(Option::is_none)
+        let idle = self.total_jobs == 0 && self.credits_out == 0 && self.retrying == 0;
+        debug_assert_eq!(idle, self.idle_by_scan(), "lane counters drifted");
+        idle
     }
 
     /// Total planned jobs across lanes (for back-pressure and activity
@@ -416,6 +428,7 @@ impl LaneSet {
                 displace_left: 0,
                 held: VecDeque::new(),
             });
+            self.retrying += 1;
             self.reissue(lane, &resp);
             return;
         }
@@ -430,6 +443,7 @@ impl LaneSet {
     /// displacement counter.
     fn reissue(&mut self, lane: usize, resp: &WordResp) {
         self.credits[lane].put();
+        self.credits_out -= 1;
         let job = if resp.is_write {
             LaneJob::Write {
                 addr: resp.word_addr,
@@ -456,6 +470,7 @@ impl LaneSet {
             match rt.held.pop_front() {
                 None => {
                     self.retry[lane] = None;
+                    self.retrying -= 1;
                     return;
                 }
                 Some(r) if r.fault == Some(WordFault::Slave) && ctl.try_spend() => {
@@ -473,6 +488,15 @@ impl LaneSet {
     /// Memory word width in bytes.
     pub fn word_bytes(&self) -> usize {
         self.word_bytes
+    }
+
+    /// [`LaneSet::idle`] by a scan of every lane: the reference the
+    /// counters are checked against in debug builds and tests.
+    fn idle_by_scan(&self) -> bool {
+        self.jobs.iter().all(VecDeque::is_empty)
+            && self.resp.iter().all(VecDeque::is_empty)
+            && self.credits.iter().all(|c| c.in_flight() == 0)
+            && self.retry.iter().all(Option::is_none)
     }
 }
 
@@ -682,6 +706,104 @@ mod tests {
             }
             WordOp::Read => panic!("write retried as read"),
         }
+    }
+
+    #[test]
+    fn idle_counters_match_the_scan_under_random_faults() {
+        // Random traffic through a 3-lane set against a per-lane in-order
+        // memory that faults often: first faults, nested retries (the
+        // retried word or a held response faulting again), decode errors
+        // and exhausted budgets. Bursts of new jobs alternate with drains
+        // so the set keeps returning to idle. After every operation the
+        // O(1) `idle` must agree with the full scan.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut nested, mut surfaced) = (0, 0);
+        for budget in [0u32, 1, 3, 64] {
+            let mut idle_after_retry = 0;
+            let mut ctl = RetryCtl::new(budget);
+            let mut lanes = LaneSet::new(3, 3, ConvId::StridedW, 4);
+            let mut mem: Vec<VecDeque<WordReq>> = vec![VecDeque::new(); 3];
+            for step in 0..8000 {
+                let lane = rnd(3) as usize;
+                let addr = rnd(64) * 4;
+                let filling = step % 400 < 40;
+                match rnd(8) {
+                    0 if filling => lanes.push_job(lane, LaneJob::Read { addr }),
+                    1 if filling => lanes.push_job(
+                        lane,
+                        LaneJob::Write {
+                            addr,
+                            data: WordBuf::zeroed(4),
+                            strb: rnd(2) as u32 * 0xf,
+                        },
+                    ),
+                    2 if filling => lanes.push_job(lane, LaneJob::AwaitData { addr }),
+                    0..=3 => {
+                        if lanes.jobs[lane]
+                            .iter()
+                            .any(|j| matches!(j, LaneJob::AwaitData { .. }))
+                        {
+                            lanes.fill_data(lane, &[1, 2, 3, 4], rnd(2) as u32 * 0xf);
+                        }
+                    }
+                    4 => {
+                        if !lanes.take_local_ack(lane) {
+                            if let Some(req) = lanes.pop_request(lane) {
+                                mem[lane].push_back(req);
+                            }
+                        }
+                    }
+                    5 | 6 => {
+                        if let Some(req) = mem[lane].pop_front() {
+                            let fault = match rnd(5) {
+                                0 | 1 => Some(WordFault::Slave),
+                                2 => Some(WordFault::Decode),
+                                _ => None,
+                            };
+                            // The retried word's own response, with
+                            // displaced responses parked behind it.
+                            let settling = lanes.retry[lane]
+                                .as_ref()
+                                .is_some_and(|rt| rt.displace_left == 0 && !rt.held.is_empty());
+                            lanes.deliver(
+                                WordResp {
+                                    port: lane,
+                                    word_addr: req.word_addr,
+                                    data: WordBuf::zeroed(4),
+                                    is_write: matches!(req.op, WordOp::Write { .. }),
+                                    tag: req.tag,
+                                    fault,
+                                    strb: 0xf,
+                                },
+                                &mut ctl,
+                            );
+                            if settling && lanes.retry[lane].is_some() {
+                                nested += 1;
+                            }
+                        }
+                    }
+                    _ => {
+                        if lanes.has_resp(lane) {
+                            surfaced += u32::from(lanes.pop_resp(lane).fault.is_some());
+                        }
+                    }
+                }
+                assert_eq!(lanes.idle(), lanes.idle_by_scan(), "step {step}");
+                idle_after_retry += u32::from(ctl.spent() > 0 && lanes.idle());
+            }
+            assert!(
+                budget == 0 || idle_after_retry > 0,
+                "budget {budget}: the lanes never drained after a retry"
+            );
+        }
+        assert!(nested > 0, "no retry round ever nested");
+        assert!(surfaced > 0, "no fault ever surfaced past recovery");
     }
 
     #[test]

@@ -185,8 +185,13 @@ pub struct BankedMemory {
     storage: Storage,
     /// One pending-request register per port.
     pending: Vec<Option<WordReq>>,
+    /// Occupied `pending` registers, maintained incrementally so
+    /// quiescence and the idle-cycle early-out are O(1).
+    pending_n: usize,
     /// Per-bank access pipelines.
     banks: Vec<Pipeline<WordReq>>,
+    /// Requests in flight across every bank pipeline.
+    in_flight_n: usize,
     /// Per-bank arbiter across ports.
     arbs: Vec<RoundRobin>,
     /// Conflict-free mode: requests accepted this cycle.
@@ -243,9 +248,11 @@ impl BankedMemory {
             map,
             storage,
             pending: (0..cfg.ports).map(|_| None).collect(),
+            pending_n: 0,
             banks: (0..cfg.banks)
                 .map(|_| Pipeline::new(cfg.latency.max(1)))
                 .collect(),
+            in_flight_n: 0,
             arbs: (0..cfg.banks).map(|_| RoundRobin::new(cfg.ports)).collect(),
             ideal_overflow: Vec::new(),
             ideal_delay: std::collections::VecDeque::new(),
@@ -308,8 +315,10 @@ impl BankedMemory {
     /// word-aligned.
     pub fn try_issue(&mut self, req: WordReq) -> bool {
         assert!(req.port < self.cfg.ports, "port {} out of range", req.port);
+        // Word widths are powers of two (`BankMap::new` checks), so the
+        // alignment test is a mask, not a division.
         assert_eq!(
-            req.word_addr % self.cfg.word_bytes as Addr,
+            req.word_addr & (self.cfg.word_bytes as Addr - 1),
             0,
             "word address 0x{:x} not aligned to {} B",
             req.word_addr,
@@ -320,6 +329,7 @@ impl BankedMemory {
             return false;
         }
         self.pending[port] = Some(req);
+        self.pending_n += 1;
         true
     }
 
@@ -342,6 +352,13 @@ impl BankedMemory {
     pub fn end_cycle_into(&mut self, responses: &mut Vec<WordResp>) {
         responses.clear();
         self.cycles += 1;
+        // Nothing pending and nothing in flight: no bank is contended, so
+        // neither the spike site nor a row stall is consulted, and no
+        // pipeline has anything to shift. The ideal path keeps its own
+        // delay line and always runs.
+        if self.pending_n == 0 && self.in_flight_n == 0 && !self.cfg.conflict_free {
+            return;
+        }
         // Grant phase: each bank picks at most one pending port.
         if self.cfg.conflict_free {
             // Ideal memory: every port's request is accepted every cycle and
@@ -351,6 +368,7 @@ impl BankedMemory {
                     self.ideal_overflow.push(req);
                 }
             }
+            self.pending_n = 0;
         } else {
             self.dirty_banks.clear();
             for (p, slot) in self.pending.iter().enumerate() {
@@ -408,12 +426,14 @@ impl BankedMemory {
                         };
                         if let Some(p) = self.arbs[b].grant_mask(choose) {
                             let req = self.pending[p].take().expect("granted port has request");
+                            self.pending_n -= 1;
                             if self.cfg.row_words > 0 {
                                 let row =
                                     self.map.row_of(req.word_addr) / self.cfg.row_words as u64;
                                 if self.open_rows[b] == Some(row) {
                                     self.row_hits += 1;
                                     self.banks[b].insert(req);
+                                    self.in_flight_n += 1;
                                 } else {
                                     // Row miss: open the row and charge the
                                     // activation penalty; the request
@@ -423,13 +443,16 @@ impl BankedMemory {
                                     self.row_misses += 1;
                                     if self.cfg.row_miss_penalty == 0 {
                                         self.banks[b].insert(req);
+                                        self.in_flight_n += 1;
                                     } else {
                                         self.row_stall[b] = self.cfg.row_miss_penalty;
                                         self.pending[p] = Some(req);
+                                        self.pending_n += 1;
                                     }
                                 }
                             } else {
                                 self.banks[b].insert(req);
+                                self.in_flight_n += 1;
                             }
                         }
                     }
@@ -448,6 +471,7 @@ impl BankedMemory {
                 continue;
             }
             if let Some(req) = bank.end_cycle() {
+                self.in_flight_n -= 1;
                 let ordinal = self.total_accesses;
                 responses.push(Self::access(
                     &mut self.storage,
@@ -656,7 +680,23 @@ impl BankedMemory {
     }
 
     /// Returns `true` when no request is pending or in flight.
+    ///
+    /// O(1) unless `conflict_free` is set, when the ideal delay line is
+    /// scanned as well.
+    #[inline]
     pub fn quiescent(&self) -> bool {
+        let quiet = self.pending_n == 0
+            && self.in_flight_n == 0
+            && (!self.cfg.conflict_free
+                || (self.ideal_overflow.is_empty() && self.ideal_delay.iter().all(Vec::is_empty)));
+        debug_assert_eq!(quiet, self.quiescent_by_scan(), "memory counters drifted");
+        quiet
+    }
+
+    /// [`BankedMemory::quiescent`] by a scan of every port and bank: the
+    /// reference the counters are checked against in debug builds and
+    /// tests.
+    fn quiescent_by_scan(&self) -> bool {
         self.pending.iter().all(Option::is_none)
             && self.banks.iter().all(Pipeline::is_empty)
             && self.ideal_overflow.is_empty()
@@ -1171,5 +1211,75 @@ mod tests {
         assert_eq!(resps[0].fault, Some(WordFault::Decode));
         assert_eq!(m.decode_faults(), 1);
         assert_eq!(m.injected_faults(), 0);
+    }
+
+    #[test]
+    fn quiescence_counters_match_the_scan() {
+        // Random issue and end-of-cycle sequences over conflicting banks,
+        // the row-buffer model with a miss penalty (whose grant puts the
+        // request back), latency spikes and the conflict-free ideal path.
+        // After every operation the O(1) `quiescent` must agree with the
+        // full scan, and the run must return every request it took.
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let shapes = [
+            (3, 2, false, 0, 0),
+            (4, 3, false, 8, 5),
+            (5, 1, false, 4, 0),
+            (8, 2, true, 0, 0),
+        ];
+        for (banks, latency, conflict_free, row_words, row_miss_penalty) in shapes {
+            let mut m = BankedMemory::new(
+                BankConfig {
+                    banks,
+                    word_bytes: 4,
+                    latency,
+                    ports: 6,
+                    conflict_free,
+                    commit_writes: true,
+                    row_words,
+                    row_miss_penalty,
+                },
+                Storage::new(1 << 12),
+            );
+            let mut spec = FaultSpec::silent(3);
+            spec.bank_delay_period = 16;
+            spec.bank_delay_len = 3;
+            m.install_faults(&spec);
+            let (mut issued, mut served, mut quiet_seen) = (0usize, 0usize, 0);
+            for step in 0..6000 {
+                // Bursts of issue alternate with drains.
+                if step % 300 < 150 && rnd(3) > 0 {
+                    let port = rnd(6) as usize;
+                    if m.port_free(port) {
+                        assert!(m.try_issue(WordReq {
+                            port,
+                            word_addr: rnd(512) * 4,
+                            op: WordOp::Read,
+                            tag: step,
+                        }));
+                        issued += 1;
+                    }
+                } else {
+                    served += m.end_cycle().len();
+                }
+                assert_eq!(m.quiescent(), m.quiescent_by_scan(), "step {step}");
+                quiet_seen += u32::from(m.quiescent());
+            }
+            served += run_until_quiescent(&mut m, 10_000).len();
+            assert_eq!(served, issued, "a request was lost");
+            assert!(quiet_seen > 0, "the memory never drained");
+            if row_miss_penalty > 0 {
+                assert!(m.row_misses() > 0, "the row-miss path never ran");
+            }
+            if !conflict_free {
+                assert!(m.conflict_stall_events() > 0, "no bank ever conflicted");
+            }
+        }
     }
 }

@@ -87,7 +87,8 @@ impl BankMap {
     /// Word index of a byte address (addresses within a word share it).
     #[inline]
     pub fn word_index(&self, addr: Addr) -> u64 {
-        addr / self.word_bytes as Addr
+        // `word_bytes` is a power of two: a shift, not a division.
+        addr >> self.word_bytes.trailing_zeros()
     }
 
     /// Bank holding the word at `addr`.

@@ -63,14 +63,27 @@ impl RoundRobin {
     #[inline]
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request vector width mismatch");
-        for off in 0..self.n {
-            let idx = (self.next + off) % self.n;
+        // Probe from the priority index, wrapping with a compare rather
+        // than a division by the runtime width.
+        let mut idx = self.next;
+        for _ in 0..self.n {
             if requests[idx] {
-                self.next = (idx + 1) % self.n;
+                self.next = self.wrap(idx + 1);
                 return Some(idx);
             }
+            idx = self.wrap(idx + 1);
         }
         None
+    }
+
+    /// `i % n` for `i < 2n`, as a compare instead of a division.
+    #[inline]
+    fn wrap(&self, i: usize) -> usize {
+        if i >= self.n {
+            i - self.n
+        } else {
+            i
+        }
     }
 
     /// Grants from a bitmask request vector (bit *i* = requestor *i*
@@ -105,8 +118,8 @@ impl RoundRobin {
             ((mask >> next) | (mask << (n - next))) & lane_mask
         };
         let off = rotated.trailing_zeros() as usize;
-        let idx = (self.next + off) % self.n;
-        self.next = (idx + 1) % self.n;
+        let idx = self.wrap(self.next + off);
+        self.next = self.wrap(idx + 1);
         Some(idx)
     }
 
@@ -168,6 +181,50 @@ mod tests {
         for m in [0b10110u32, 0b00001, 0b11111, 0b01000] {
             let bools: Vec<bool> = (0..5).map(|i| m >> i & 1 == 1).collect();
             assert_eq!(a.grant_mask(m), b.grant(&bools));
+        }
+    }
+
+    /// The division-based policy `grant` and `grant_mask` implement.
+    fn grant_by_modulo(n: usize, next: &mut usize, mask: u32) -> Option<usize> {
+        for off in 0..n {
+            let idx = (*next + off) % n;
+            if mask >> idx & 1 == 1 {
+                *next = (idx + 1) % n;
+                return Some(idx);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn compare_wrap_matches_modulo_at_every_width_and_priority() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 1..=32usize {
+            let width = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+            for start in 0..n {
+                let mut a = RoundRobin::new(n);
+                let mut b = RoundRobin::new(n);
+                a.next = start;
+                b.next = start;
+                let mut next = start;
+                for round in 0..64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Mix sparse, dense and empty masks.
+                    let m = match round % 4 {
+                        0 => (x as u32) & (x >> 32) as u32,
+                        1 => 0,
+                        _ => x as u32,
+                    } & width;
+                    let bools: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+                    let want = grant_by_modulo(n, &mut next, m);
+                    assert_eq!(a.grant(&bools), want, "grant n={n} start={start} m={m:#x}");
+                    assert_eq!(a.next, next);
+                    assert_eq!(b.grant_mask(m), want, "mask n={n} start={start} m={m:#x}");
+                    assert_eq!(b.next, next);
+                }
+            }
         }
     }
 

@@ -26,8 +26,7 @@
 //! drains (e.g. the in-place transpose), and must be zero for read-only
 //! kernels — integration tests assert exactly that.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use axi_proto::{Addr, ArBeat, AxiChannels, BeatBuf, BusConfig, ElemSize, IdxSize, Resp, WBeat};
@@ -167,6 +166,27 @@ impl InFlight {
     }
 }
 
+/// One in-flight instruction in the engine's issue-ordered window.
+#[derive(Debug)]
+struct Slot {
+    uid: u64,
+    /// `entry.produced` at the start of the current compute tick: what
+    /// consumers may chain on this cycle (registered chaining — same-cycle
+    /// production is never consumed).
+    snap: usize,
+    entry: InFlight,
+}
+
+/// The start-of-tick progress of producer `uid` in `window`,
+/// [`usize::MAX`] when retired or absent (no writer).
+#[inline]
+fn snap_of(window: &[Slot], uid: u64) -> usize {
+    window
+        .iter()
+        .find(|s| s.uid == uid)
+        .map_or(usize::MAX, |s| s.snap)
+}
+
 /// What the frontend would do if ticked now; shared by the tick, the
 /// wake classification and the parking test so they cannot disagree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,8 +308,10 @@ pub struct Engine {
     program: Arc<Program>,
     pc: usize,
     vl: usize,
-    window: UidMap<InFlight>,
-    order: VecDeque<u64>,
+    /// In-flight instructions in issue order, at most `cfg.window` of
+    /// them; looked up by uid with a linear scan, which at this size
+    /// beats any hashing.
+    window: Vec<Slot>,
     reg_writer: [u64; 32],
     next_uid: u64,
     next_axi_id: u8,
@@ -308,38 +330,10 @@ pub struct Engine {
     stats: EngineStats,
     /// First error response seen on R or B, if any.
     first_fault: Option<BusFault>,
-    /// Start-of-cycle producer-progress snapshot, reused every cycle so
-    /// chaining never allocates (uid → produced, in issue order).
-    progress_scratch: Vec<(u64, usize)>,
 }
 
 /// Sentinel "no writer" uid (uids start at 1).
 const NO_WRITER: u64 = 0;
-
-/// Identity hasher for uid keys: uids are sequential `u64`s, so hashing
-/// them through SipHash on every window lookup of every cycle is pure
-/// overhead. The in-flight window is tiny (≤ `cfg.window` entries) and
-/// its keys are unique by construction.
-#[derive(Debug, Default)]
-struct UidHasher(u64);
-
-impl Hasher for UidHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("uid keys hash via write_u64");
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The uid-keyed in-flight window map.
-type UidMap<V> = HashMap<u64, V, BuildHasherDefault<UidHasher>>;
 
 impl Engine {
     /// Creates an engine for the given system kind and program.
@@ -369,8 +363,7 @@ impl Engine {
             program: program.into(),
             pc: 0,
             vl: cfg.max_vl(),
-            window: UidMap::default(),
-            order: VecDeque::new(),
+            window: Vec::with_capacity(cfg.window),
             reg_writer: [NO_WRITER; 32],
             next_uid: 1,
             next_axi_id: 0,
@@ -384,7 +377,6 @@ impl Engine {
             ideal_last_active: 0,
             stats: EngineStats::new(bus_bytes),
             first_fault: None,
-            progress_scratch: Vec::new(),
             cfg,
             kind,
             bus,
@@ -410,7 +402,8 @@ impl Engine {
     /// window, and VLSU occupancy.
     pub fn describe_state(&self) -> String {
         format!(
-            "pc {}/{}, {} in window, {} mem ops queued, load issuing: {}, {} loads draining,              store active: {}, {} stores awaiting B",
+            "pc {}/{}, {} in window, {} mem ops queued, load issuing: {}, {} loads draining, \
+             store active: {}, {} stores awaiting B",
             self.pc,
             self.program.len(),
             self.window.len(),
@@ -436,9 +429,10 @@ impl Engine {
     }
 
     // simcheck: hot-path begin -- the engine's per-cycle tick: memory
-    // back-ends, compute lanes and the frontend. The progress scratch is
-    // engine-owned and reused; burst planning (which allocates per issued
-    // memory instruction, not per cycle) lives outside this region.
+    // back-ends, compute lanes and the frontend. The window is pre-sized
+    // to `cfg.window` slots and carries the progress snapshot; burst
+    // planning (which allocates per issued memory instruction, not per
+    // cycle) lives outside this region.
 
     /// One cycle of engine work. Pass the bus channels for BASE/PACK and
     /// `None` for IDEAL; `storage` is the shared backing store.
@@ -499,7 +493,7 @@ impl Engine {
             run.b_received += 1;
             if run.b_received == run.b_expected {
                 let uid = run.uid;
-                if let Some(e) = self.window.get_mut(&uid) {
+                if let Some(e) = self.entry_mut(uid) {
                     if let Class::Store { done } = &mut e.class {
                         *done = true;
                     }
@@ -599,7 +593,7 @@ impl Engine {
         let received = run.received_elems;
         let finished = run.received_elems >= run.total_elems;
         let is_index = run.is_index;
-        if let Some(e) = self.window.get_mut(&uid) {
+        if let Some(e) = self.entry_mut(uid) {
             e.produced = received;
         }
         if finished {
@@ -724,7 +718,7 @@ impl Engine {
         let uid = run.uid;
         let transferred = run.transferred;
         let finished = run.transferred >= run.total;
-        if let Some(e) = self.window.get_mut(&uid) {
+        if let Some(e) = self.entry_mut(uid) {
             e.produced = transferred;
             if finished {
                 if let Class::Store { done } = &mut e.class {
@@ -757,36 +751,18 @@ impl Engine {
     fn tick_compute(&mut self) {
         // Snapshot producer progress at the start of the compute tick so
         // same-cycle production is never consumed (registered chaining).
-        // The scratch vector is engine-owned and reused every cycle; the
-        // window is small (≤ cfg.window entries), so linear lookup wins
-        // over any hashing.
-        self.progress_scratch.clear();
-        for uid in &self.order {
-            if let Some(e) = self.window.get(uid) {
-                self.progress_scratch.push((*uid, e.produced));
-            }
+        for slot in &mut self.window {
+            slot.snap = slot.entry.produced;
         }
-        let snapshot = &self.progress_scratch;
-        let progress = |uid: u64| -> usize {
-            if uid == NO_WRITER {
-                usize::MAX
-            } else {
-                snapshot
-                    .iter()
-                    .find(|(u, _)| *u == uid)
-                    .map_or(usize::MAX, |(_, p)| *p)
-            }
-        };
         let mut budget = self.cfg.lanes;
-        for i in 0..self.order.len() {
+        for i in 0..self.window.len() {
             if budget == 0 {
                 break;
             }
-            let uid = self.order[i];
-            let Some(entry) = self.window.get_mut(&uid) else {
-                continue;
-            };
-            let step = budget.min(entry.lane_work(progress));
+            let window = &self.window;
+            let work = window[i].entry.lane_work(|uid| snap_of(window, uid));
+            let step = budget.min(work);
+            let entry = &mut self.window[i].entry;
             match &mut entry.class {
                 Class::Compute { flops_per_elem, .. } => {
                     entry.produced += step;
@@ -833,7 +809,7 @@ impl Engine {
             None => Frontend::Finished,
             Some(VInsn::ScalarStoreF32 { vs, .. }) => {
                 let producer = self.reg_writer[*vs as usize];
-                if producer != NO_WRITER && self.window.contains_key(&producer) {
+                if producer != NO_WRITER && self.entry(producer).is_some() {
                     Frontend::ScalarStoreBlocked
                 } else {
                     Frontend::Issue
@@ -886,15 +862,15 @@ impl Engine {
                 self.next_uid += 1;
                 let vl = self.vl;
                 let class = self.classify(&insn);
-                self.window.insert(
+                self.window.push(Slot {
                     uid,
-                    InFlight {
+                    snap: 0,
+                    entry: InFlight {
                         vl,
                         produced: 0,
                         class,
                     },
-                );
-                self.order.push_back(uid);
+                });
                 if insn.is_mem() {
                     let run = self.build_mem_run(uid, &insn);
                     self.mem_q.push_back(run);
@@ -1056,15 +1032,26 @@ impl Engine {
     // Event-driven scheduling: wake classification and fast-forward
     // ------------------------------------------------------------------
 
+    /// The in-flight entry of `uid`, if it has not retired.
+    #[inline]
+    fn entry(&self, uid: u64) -> Option<&InFlight> {
+        self.window.iter().find(|s| s.uid == uid).map(|s| &s.entry)
+    }
+
+    /// Mutable [`Engine::entry`].
+    #[inline]
+    fn entry_mut(&mut self, uid: u64) -> Option<&mut InFlight> {
+        self.window
+            .iter_mut()
+            .find(|s| s.uid == uid)
+            .map(|s| &mut s.entry)
+    }
+
     /// A producer's settled progress, [`usize::MAX`] when retired or
     /// absent (no writer).
     #[inline]
     fn progress_of(&self, uid: u64) -> usize {
-        if uid == NO_WRITER {
-            usize::MAX
-        } else {
-            self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
-        }
+        self.entry(uid).map_or(usize::MAX, |e| e.produced)
     }
 
     /// Elements a store's producer has made available, [`usize::MAX`]
@@ -1080,10 +1067,7 @@ impl Engine {
     /// producer's wake; load/store window entries by the back-end.
     fn lane_wake(&self) -> Wake {
         let mut wake = Wake::Idle;
-        for uid in &self.order {
-            let Some(entry) = self.window.get(uid) else {
-                continue;
-            };
+        for Slot { entry, .. } in &self.window {
             if entry.lane_work(|u| self.progress_of(u)) > 0 {
                 return Wake::Ready;
             }
@@ -1127,7 +1111,8 @@ impl Engine {
         // per-tick stall statistic `fast_forward` replays) block.
         let frontend = match self.frontend() {
             Frontend::Stalled(left) => Wake::Sleep(left as u64),
-            Frontend::Issue => Wake::Ready,
+            // Ready dominates any merge: skip the lane scan.
+            Frontend::Issue => return Wake::Ready,
             Frontend::WindowFull | Frontend::ScalarStoreBlocked | Frontend::Finished => Wake::Idle,
         };
         mem.merge(frontend).merge(self.lane_wake())
@@ -1240,11 +1225,7 @@ impl Engine {
         }
         // Reduction tails count down once per tick regardless of the lane
         // budget (nothing else can be consuming it — the span proof).
-        for i in 0..self.order.len() {
-            let uid = self.order[i];
-            let Some(entry) = self.window.get_mut(&uid) else {
-                continue;
-            };
+        for Slot { entry, .. } in &mut self.window {
             if let Class::Reduction { consumed, tail, .. } = &mut entry.class {
                 if *consumed >= entry.vl && *tail > 0 {
                     debug_assert!(span <= *tail as u64, "slept through a wake");
@@ -1600,15 +1581,8 @@ impl Engine {
     // in-flight window; in-place retain, no reallocation.
 
     fn sweep_completed(&mut self) {
-        let window = &mut self.window;
-        self.order.retain(|uid| match window.get(uid) {
-            Some(e) if e.complete() => {
-                window.remove(uid);
-                false
-            }
-            Some(_) => true,
-            None => false,
-        });
+        // `retain` compacts stably, so the window stays in issue order.
+        self.window.retain(|s| !s.entry.complete());
     }
 
     // simcheck: hot-path end
@@ -2018,6 +1992,75 @@ mod tests {
         // Index fetch (16 cycles) + gather (16 cycles) both hit the port.
         assert!(cycles >= 32, "index traffic must cost port time: {cycles}");
         assert!(engine.stats().r_util.payload_bytes() > engine.stats().r_util_data.payload_bytes());
+    }
+
+    /// Two loads, then ten reductions of the first (each with the full
+    /// reduction tail) interleaved with a chain of short computes: more
+    /// vector instructions than the window holds, and computes issued
+    /// after a reduction retire before its tail expires.
+    fn window_program() -> Program {
+        let mut b = ProgramBuilder::new()
+            .set_vl(64)
+            .vle(1, 0x0)
+            .vle(2, 0x1000)
+            .vfmul(3, 1, 2);
+        for k in 0..10u8 {
+            b = b.vfredsum(12 + k, 1).vfadd(4 + k % 2, 3 + k % 2, 2);
+        }
+        for k in 0..10u8 {
+            b = b.scalar_store_f32(12 + k, 0x4000 + 4 * k as Addr);
+        }
+        b.vse(4, 0x5000).build()
+    }
+
+    #[test]
+    fn the_window_fills_and_retires_out_of_issue_order() {
+        let cfg = VprocConfig::default();
+        let mut storage = patterned_storage();
+        let mut engine = Engine::new(cfg, SystemKind::Ideal, bus(), window_program());
+        let (mut peak, mut out_of_order) = (0, 0);
+        while !engine.done() {
+            let before: Vec<u64> = engine.window.iter().map(|s| s.uid).collect();
+            engine.tick(None, &mut storage);
+            let after: Vec<u64> = engine.window.iter().map(|s| s.uid).collect();
+            assert!(
+                after.windows(2).all(|w| w[0] < w[1]),
+                "window left issue order"
+            );
+            peak = peak.max(after.len());
+            let oldest_left = after.first().copied().unwrap_or(u64::MAX);
+            out_of_order += before
+                .iter()
+                .filter(|u| !after.contains(u) && **u > oldest_left)
+                .count();
+            assert!(engine.stats().cycles < 100_000, "simulation hung");
+        }
+        assert_eq!(peak, cfg.window, "the program never filled the window");
+        assert!(out_of_order > 0, "nothing retired ahead of an older entry");
+        let sum: f32 = (0..64).map(|k| k as f32).sum();
+        for k in 0..10 {
+            assert_eq!(storage.read_f32(0x4000 + 4 * k), sum);
+        }
+    }
+
+    #[test]
+    fn describe_state_pins_the_hang_forensics_line() {
+        let cfg = VprocConfig::default();
+        let ctrl = CtrlConfig::new(bus(), BankConfig::default(), 4);
+        let mut adapter = Adapter::new(ctrl, patterned_storage());
+        let mut engine = Engine::new(cfg, SystemKind::Pack, bus(), window_program());
+        let mut ch = AxiChannels::new();
+        for _ in 0..4 {
+            engine.tick(Some(&mut ch), adapter.storage_mut());
+            adapter.tick(&mut ch);
+            adapter.end_cycle();
+            ch.end_cycle();
+        }
+        assert_eq!(
+            engine.describe_state(),
+            "pc 4/35, 3 in window, 0 mem ops queued, load issuing: false, \
+             2 loads draining, store active: false, 0 stores awaiting B"
+        );
     }
 
     #[test]
