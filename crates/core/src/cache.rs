@@ -65,8 +65,11 @@ use workloads::Kernel;
 /// algorithm itself moves — old entries then simply stop matching.
 /// (v2: topology keys gained the fabric shape — channels, arity,
 /// row-buffer timing — so hierarchical-fabric runs never collide with
-/// the flat runs of the same requestor set.)
-pub const KEY_VERSION: u32 = 2;
+/// the flat runs of the same requestor set; v3: every run goes through
+/// one loop, which charges a channel's adapter counters to its only
+/// member, so per-requestor counters of shared-fabric points and the
+/// system-level fields of solo reports changed.)
+pub const KEY_VERSION: u32 = 3;
 
 /// Version tag leading every stored value blob. Bump on codec layout
 /// changes; stale blobs fail decoding and are recomputed in place.

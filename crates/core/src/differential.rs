@@ -16,8 +16,8 @@
 //! 3. **Topology replay** — the same seed expands into 2- and 4-requestor
 //!    shared-bus topologies (mixed BASE/PACK/IDEAL kinds); the shared
 //!    store must equal the composition of every requestor's reference
-//!    memory in its window, with all per-port and downstream monitors
-//!    violation-free.
+//!    memory in its window, with every manager-port and channel-root
+//!    monitor violation-free.
 //! 4. **Burst-level differential** — random packed/plain bursts at *all*
 //!    element widths (the kernel path is 32-bit only) drive the adapter
 //!    directly; R payloads must match the [`axi_proto::expand`] reference
@@ -26,8 +26,12 @@
 //!    are replayed in lockstep mode ([`SchedMode::Lockstep`]); completion
 //!    cycles, memory digests and every [`crate::RunReport`] counter
 //!    (stalls, conflicts, utilizations bit-compared) must be identical to
-//!    the event-driven run, and the lockstep replay must fast-forward
-//!    zero spans.
+//!    the event-driven run, and the lockstep replay must skip nothing
+//!    ([`SchedProbe::skipped_any`]).
+//!
+//! Solo runs and topologies of every shape go through one run loop (a
+//! solo is one requestor on [`crate::FabricSpec::flat`]), so every check
+//! above exercises the same loop the figures use.
 //!
 //! A failing seed reports a one-line repro command
 //! ([`repro_command`]); [`minimize`] shrinks it by halving program
@@ -71,11 +75,10 @@ pub struct SchedProbe {
     pub skipped_cycles: u64,
     /// Number of idle spans fast-forwarded.
     pub skip_spans: u64,
-    /// Engine ticks the hierarchical-fabric loop performed (0 on the
-    /// solo and flat loops).
+    /// Engine ticks the run loop performed.
     pub engine_ticks: u64,
-    /// Engine ticks the hierarchical-fabric loop replayed in bulk for
-    /// engines parked on their leaf FIFOs instead of ticking them.
+    /// Engine ticks the run loop replayed in bulk for engines parked on
+    /// their leaf FIFOs instead of ticking them.
     pub parked_engine_ticks: u64,
 }
 
@@ -96,17 +99,17 @@ impl SchedProbe {
 }
 
 /// Observation state a probed run fills in: per-manager protocol
-/// monitors, the shared downstream monitor (muxed runs), a digest of
-/// the final backing store, and the scheduler's skip accounting.
+/// monitors, one monitor on the root link of every muxed channel, a
+/// digest of the final backing store, and the scheduler's skip
+/// accounting.
 #[derive(Debug, Default)]
 pub struct RunProbe {
     /// One monitor per bus-attached manager port, in port order (empty
     /// for IDEAL-only runs).
     pub monitors: Vec<Monitor>,
-    /// Monitor on the shared link below the mux; `None` without a mux.
-    pub downstream: Option<Monitor>,
-    /// One monitor per memory channel on the root link of its mux tree
-    /// (hierarchical-fabric runs only; empty on the flat path).
+    /// One monitor per muxed memory channel, on the root link of its
+    /// mux tree (a channel with one member has no mux: its leaf is its
+    /// root link).
     pub roots: Vec<Monitor>,
     /// [`memory_digest`] of the final backing store.
     pub storage_digest: Option<u64>,
@@ -125,7 +128,6 @@ impl RunProbe {
             .iter()
             .enumerate()
             .map(|(i, m)| (format!("manager {i}"), m))
-            .chain(self.downstream.iter().map(|m| ("downstream".into(), m)))
             .chain(
                 self.roots
                     .iter()

@@ -37,11 +37,12 @@ pub struct RunReport {
     /// Cycles a data-ready W beat waited on a full channel (zero on
     /// IDEAL).
     pub w_stall_cycles: u64,
-    /// Bank-conflict serialization events in the memory. In a
-    /// multi-requestor run conflicts happen at the shared banks and are
-    /// not attributable to one requestor; see
-    /// [`SystemReport::bank_conflicts`] for the aggregate (this field is
-    /// then zero).
+    /// Bank-conflict serialization events in the memory, when this
+    /// requestor is the only bus-attached member of its memory channel.
+    /// Requestors that share a channel's banks cannot be told apart
+    /// there; see [`SystemReport::bank_conflicts`] for the aggregate
+    /// (this field is then zero, and the activity's word accesses are
+    /// one per element moved).
     pub bank_conflicts: u64,
     /// Raw activity counts, for energy modeling.
     pub activity: Activity,
@@ -51,10 +52,13 @@ pub struct RunReport {
     /// Total energy in µJ.
     pub energy_uj: f64,
     /// Faults injected by an installed [`simkit::fault::FaultSpec`]
-    /// (bank and decode errors; zero when no plan is installed).
+    /// (bank and decode errors; zero when no plan is installed, and zero
+    /// for requestors that share their channel, as for
+    /// [`RunReport::bank_conflicts`]).
     pub injected_faults: u64,
     /// Transient-error retries the adapter spent recovering (zero when no
-    /// plan is installed or nothing faulted).
+    /// plan is installed or nothing faulted, and zero for requestors that
+    /// share their channel).
     pub fault_retries: u64,
 }
 
@@ -89,9 +93,10 @@ impl RunReport {
 /// Per-requestor completion status of a multi-requestor run.
 ///
 /// A faulting requestor is *isolated*: its abort is recorded here while
-/// healthy requestors still finish and verify. Single-requestor runs
-/// never produce `Faulted` — they return [`crate::RunError::Axi`]
-/// instead.
+/// healthy requestors still finish and verify. Solo runs —
+/// [`crate::run_kernel`], and [`crate::run_system`] on a one-requestor
+/// topology with one SRAM-timed channel — never produce `Faulted`: they
+/// return [`crate::RunError::Axi`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestorOutcome {
     /// The requestor completed and its functional result verified.

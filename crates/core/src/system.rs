@@ -33,6 +33,7 @@ use banked_mem::{BankConfig, ChannelMap, Storage, WordFault};
 use hwmodel::energy::{Activity, EnergyModel};
 use pack_ctrl::{Adapter, CtrlConfig};
 use simkit::fault::{site, FaultReport, FaultSpec, HangComponent, HangReport};
+use simkit::sched::Wake;
 use vproc::{BusFault, Engine, EngineStats, Parked, SystemKind, VprocConfig};
 use workloads::{Kernel, KernelParams};
 
@@ -404,8 +405,8 @@ pub struct Placement {
 /// through the fabric a [`FabricSpec`] describes.
 ///
 /// Requestor 0's window starts at address 0, so a single-requestor
-/// topology is *exactly* the classic [`run_kernel`] system — same
-/// addresses, same cycle loop, byte-identical [`RunReport`].
+/// topology on the flat fabric is *exactly* the classic [`run_kernel`]
+/// system — same addresses, same loop, byte-identical [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Shared system parameters: bus width, bank count, queue depth,
@@ -424,51 +425,6 @@ impl Topology {
     /// the panic-free way to assemble a topology.
     pub fn builder(cfg: &SystemConfig) -> TopologyBuilder {
         TopologyBuilder::new(cfg)
-    }
-
-    /// The classic single-requestor system: `cfg.kind` running `kernel`.
-    #[deprecated(
-        note = "use Topology::builder(cfg).requestor(cfg.kind, kernel).build() — \
-                it validates through the DRC and returns typed diagnostics"
-    )]
-    pub fn single(cfg: &SystemConfig, kernel: Kernel) -> Self {
-        Topology {
-            system: *cfg,
-            requestors: vec![Requestor::new(cfg.kind, kernel)],
-            fabric: FabricSpec::default(),
-        }
-    }
-
-    /// A shared-bus system: all `requestors` contend for one AXI(-Pack)
-    /// endpoint through an ID-remapping round-robin mux.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty requestor list, or when more than four
-    /// *bus-attached* (BASE/PACK) requestors are given — the flat mux's
-    /// 2 ID-prefix bits. IDEAL requestors use per-lane ports and do not
-    /// count against the manager limit. [`TopologyBuilder`] has neither
-    /// panic (empty topologies come back as typed DRC errors, and larger
-    /// requestor counts cascade through a mux tree).
-    #[deprecated(
-        note = "use Topology::builder — it returns typed diagnostics instead of \
-                panicking and scales past four requestors via the mux-tree fabric"
-    )]
-    pub fn shared_bus(cfg: &SystemConfig, requestors: Vec<Requestor>) -> Self {
-        assert!(!requestors.is_empty(), "a topology needs a requestor");
-        let bus_attached = requestors
-            .iter()
-            .filter(|r| r.kind != SystemKind::Ideal)
-            .count();
-        assert!(
-            bus_attached <= MAX_MANAGERS,
-            "a shared bus carries at most {MAX_MANAGERS} bus-attached requestors, got {bus_attached}"
-        );
-        Topology {
-            system: *cfg,
-            requestors,
-            fabric: FabricSpec::default(),
-        }
     }
 
     /// The window base address of every requestor: 4 KiB-aligned,
@@ -516,11 +472,6 @@ impl Topology {
             channel_of,
             storage_bytes,
         }
-    }
-
-    /// Total backing-store size covering every window.
-    fn storage_bytes(&self) -> usize {
-        self.placement().storage_bytes
     }
 }
 
@@ -622,8 +573,8 @@ impl TopologyBuilder {
             fabric: self.fabric,
         };
         let report = if topo.requestors.len() == 1 {
-            // A single requestor never enters the fabric — run paths use
-            // the classic solo loop — so the solo rule set applies.
+            // A single requestor has its channel to itself and no mux, so
+            // the solo rule set applies.
             let r = &topo.requestors[0];
             drc::check_single(&topo.system, r.kind, &r.kernel)
         } else {
@@ -639,23 +590,29 @@ impl TopologyBuilder {
 
 /// Builds one requestor's [`RunReport`] from its engine statistics.
 ///
-/// `adapter_stats` carries `(word_accesses, bank_conflicts)` when the
-/// whole adapter's activity belongs to this requestor (single-requestor
-/// AXI runs); otherwise — IDEAL, or a shared adapter — word accesses are
-/// charged as one word per element moved and conflicts are reported at
-/// the system level only.
+/// `sole` is its channel's snapshot when the requestor is the only
+/// bus-attached member of that channel, so the adapter's whole activity
+/// is its own: word accesses, bank conflicts, injected faults and fault
+/// retries come from the adapter. Otherwise — IDEAL, or a shared adapter
+/// — word accesses are charged as one word per element moved, and
+/// conflicts and faults are reported at the system level only.
 fn build_report(
     kernel: &Kernel,
     kind: SystemKind,
     bus_bits: u32,
     cycles: u64,
     stats: &EngineStats,
-    adapter_stats: Option<(u64, u64)>,
-    fault_stats: (u64, u64),
+    sole: Option<&ChannelSnap>,
 ) -> RunReport {
-    let (word_accesses, bank_conflicts) =
-        adapter_stats.unwrap_or((stats.load_elems + stats.store_elems, 0));
-    let (injected_faults, fault_retries) = fault_stats;
+    let (word_accesses, bank_conflicts, injected_faults, fault_retries) = match sole {
+        Some(s) => (
+            s.word_accesses,
+            s.bank_conflicts,
+            s.injected,
+            s.retries_spent,
+        ),
+        None => (stats.load_elems + stats.store_elems, 0, 0, 0),
+    };
     let activity = Activity {
         cycles,
         lane_elems: stats.lane_elems,
@@ -699,6 +656,27 @@ fn engine_progress(stats: &EngineStats) -> u64 {
         + stats.scalar_stall_cycles
 }
 
+/// The run's real-work progress signature, as lockstep would count it:
+/// every engine's progress, one scalar stall per cycle for each engine
+/// parked on a scalar store, and every adapter's word accesses and
+/// retries. O(requestors), so the loop computes it only while the
+/// watchdog is armed.
+fn run_progress(engines: &[Engine], lot: &ParkLot, now: u64, channels_hw: &[ChannelHw]) -> u64 {
+    let adapters: u64 = channels_hw
+        .iter()
+        .map(|hw| {
+            let a = &hw.adapter;
+            a.word_reads() + a.word_writes() + a.fault_retries()
+        })
+        .sum();
+    engines
+        .iter()
+        .map(|e| engine_progress(e.stats()))
+        .sum::<u64>()
+        + lot.scalar_stalls(now)
+        + adapters
+}
+
 /// Progress watchdog: fires when the caller-computed signature stays
 /// flat for a whole window. A window of 0 disables it.
 struct Watchdog {
@@ -716,13 +694,15 @@ impl Watchdog {
         }
     }
 
+    /// Whether the watchdog has a window at all.
+    #[inline]
+    fn armed(&self) -> bool {
+        self.window > 0
+    }
+
     /// Accounts the signature at `cycles`; `true` means no progress for
     /// a full window — abort with hang forensics.
-    #[inline]
     fn expired(&mut self, cycles: u64, sig: u64) -> bool {
-        if self.window == 0 {
-            return false;
-        }
         if sig != self.last_sig {
             self.last_sig = sig;
             self.last_change = cycles;
@@ -748,42 +728,28 @@ fn channels_component(name: &str, ch: &AxiChannels) -> HangComponent {
     }
 }
 
-/// Builds the [`RunError::Hang`] for a run: the dependency-ordered
-/// component snapshots plus the computed suspect (the *deepest* busy
-/// component — the thing everything upstream is waiting on).
-fn hang_error(
-    subject: String,
-    cycle: u64,
-    limit: u64,
-    no_progress: bool,
-    components: Vec<HangComponent>,
-) -> RunError {
-    let suspect = components.iter().rev().find(|c| c.busy).map_or_else(
-        || "none (all components idle)".to_string(),
-        |c| c.name.clone(),
-    );
-    RunError::Hang(Box::new(HangReport {
-        cycle,
-        limit,
-        no_progress,
-        subject,
-        components,
-        suspect,
-    }))
-}
-
-/// The adapter-side fault evidence, snapshotted before the adapter is
-/// consumed for its storage.
-struct AdapterFaultSnap {
+/// One channel's adapter counters and fault evidence, snapshotted
+/// before the adapter is consumed for its storage.
+struct ChannelSnap {
+    /// Bus-attached requestors on the channel.
+    members: usize,
+    word_accesses: u64,
+    bank_conflicts: u64,
+    r_beats: u64,
     first_surfaced: Option<(u64, bool, WordFault)>,
     retries_spent: u64,
     retry_budget: u32,
     injected: u64,
 }
 
-impl AdapterFaultSnap {
-    fn of(adapter: &Adapter) -> Self {
-        AdapterFaultSnap {
+impl ChannelSnap {
+    fn of(hw: &ChannelHw) -> Self {
+        let adapter = &hw.adapter;
+        ChannelSnap {
+            members: hw.members.len(),
+            word_accesses: adapter.word_reads() + adapter.word_writes(),
+            bank_conflicts: adapter.bank_conflicts(),
+            r_beats: adapter.r_beats(),
             first_surfaced: adapter.first_surfaced_fault(),
             retries_spent: adapter.fault_retries(),
             retry_budget: adapter.retry_budget(),
@@ -802,7 +768,7 @@ fn fault_abort(
     bus_fault: BusFault,
     axi_id: u16,
     spec: Option<&FaultSpec>,
-    snap: &AdapterFaultSnap,
+    snap: &ChannelSnap,
 ) -> FaultReport {
     let (word_addr, _, fault) =
         snap.first_surfaced
@@ -830,7 +796,7 @@ fn fault_abort(
     }
 }
 
-/// Post-run functional checks shared by both run loops.
+/// Post-run functional checks of one requestor.
 fn verify_requestor(kernel: &Kernel, stats: &EngineStats, storage: &Storage) -> Result<(), String> {
     kernel.verify(storage)?;
     if kernel.read_only_streams && stats.data_mismatches > 0 {
@@ -844,10 +810,13 @@ fn verify_requestor(kernel: &Kernel, stats: &EngineStats, storage: &Storage) -> 
 
 /// Runs a kernel to completion on the configured system.
 ///
-/// A thin wrapper over [`run_system`] with a single-requestor
-/// [`Topology`]: the returned [`RunReport`] contains cycle counts, bus
-/// utilizations and energy activity. Functional verification against the
-/// kernel's scalar reference runs before returning.
+/// The paper's evaluation system (§III-A) — one engine on one bus in
+/// front of one adapter — is a one-member channel of the fabric, so this
+/// runs the same loop as [`run_system`] with the kernel as the only
+/// requestor on [`FabricSpec::flat`]. The returned [`RunReport`] contains
+/// cycle counts, bus utilizations, energy activity and the adapter's
+/// word-access, bank-conflict and fault counters. Functional verification
+/// against the kernel's scalar reference runs before returning.
 ///
 /// # Examples
 ///
@@ -869,13 +838,13 @@ fn verify_requestor(kernel: &Kernel, stats: &EngineStats, storage: &Storage) -> 
 /// # Errors
 ///
 /// Returns [`RunError::Drc`] when the static design-rule check rejects
-/// the configuration before cycle 0, and [`RunError::Sim`] if the
-/// functional result diverges from the scalar reference, if the engine
-/// observed R-payload mismatches on a kernel with read-only streams, or
-/// if the simulation exceeds `max_cycles`.
+/// the configuration before cycle 0; [`RunError::Sim`] if the functional
+/// result diverges from the scalar reference or the engine observed
+/// R-payload mismatches on a kernel with read-only streams;
+/// [`RunError::Axi`] when an unrecoverable error response reached the
+/// engine; and [`RunError::Hang`] when the watchdog fires or the run
+/// exceeds `max_cycles`.
 pub fn run_kernel(cfg: &SystemConfig, kernel: &Kernel) -> Result<RunReport, RunError> {
-    // Borrow the kernel straight into the single-requestor loop — no
-    // Topology allocation or image clone on this hot sweep path.
     let mut report = run_single(cfg, cfg.kind, kernel, None)?;
     Ok(report.requestors.remove(0))
 }
@@ -901,13 +870,15 @@ pub fn run_kernel_probed(
 
 /// Runs every requestor of a [`Topology`] to completion.
 ///
-/// Bus-attached (BASE/PACK) requestors share one near-memory adapter and
-/// banked SRAM; with two or more of them an [`AxiMux`] arbitrates the
-/// request channels round-robin and demultiplexes responses by ID prefix.
-/// IDEAL requestors execute against the same shared storage through their
-/// per-lane ports without touching the bus. Every requestor's functional
-/// result is verified against its own scalar reference inside its own
-/// address window.
+/// Every topology shape runs through one loop. Requestor windows
+/// interleave across the fabric's memory channels; the bus-attached
+/// (BASE/PACK) requestors of a channel share its near-memory adapter and
+/// banked SRAM, and with two or more of them a tree of [`AxiMux`] levels
+/// arbitrates the request channels round-robin and demultiplexes
+/// responses by ID prefix. IDEAL requestors execute against their
+/// channel's storage through their per-lane ports without touching the
+/// bus. Every requestor's functional result is verified against its own
+/// scalar reference inside its own address window.
 ///
 /// # Examples
 ///
@@ -943,8 +914,8 @@ pub fn run_system(topo: &Topology) -> Result<SystemReport, RunError> {
 
 /// [`run_system`] with a [`RunProbe`] attached: one protocol [`Monitor`]
 /// per bus-attached manager port (ID-width-aware when a mux is present),
-/// one on the shared downstream link below the mux, plus a digest of the
-/// final shared store. Timing is unchanged.
+/// one on the root link of every channel's mux tree, plus a digest of the
+/// final store composed over every window. Timing is unchanged.
 ///
 /// # Errors
 ///
@@ -957,18 +928,17 @@ fn run_system_inner(
     topo: &Topology,
     probe: Option<&mut RunProbe>,
 ) -> Result<SystemReport, RunError> {
-    if topo.requestors.len() == 1 && uses_flat_path(topo) {
-        // run_single gates itself (it is also the run_kernel hot path).
-        // Only flat-fabric solos take it: a 1-requestor topology that
-        // asks for row-buffer timing (or several channels) must run the
-        // fabric path, or the solo baseline of a scaling sweep would
-        // silently measure a different memory model than every other
-        // point.
+    let fabric = &topo.fabric;
+    if topo.requestors.len() == 1 && fabric.channels == 1 && fabric.row_words == 0 {
+        // A solo on one SRAM-timed channel is the classic run_kernel
+        // system, keyed and checked as one (run_single gates itself). A
+        // row buffer or more channels change its timing, so such a solo
+        // is keyed and checked as a topology.
         let req = &topo.requestors[0];
         run_single(&topo.system, req.kind, &req.kernel, probe)
     } else {
         // Empty and overfull topologies land here too: DRC-U1 / DRC-I2
-        // reject them with a typed report where asserts used to panic.
+        // reject them with a typed report.
         let report = drc::check_topology(topo);
         if !report.is_clean() {
             return Err(RunError::Drc(report));
@@ -977,17 +947,39 @@ fn run_system_inner(
     }
 }
 
-/// Cache gate in front of [`run_single_uncached`]. Probed runs NEVER
-/// consult the cache: a [`RunProbe`] captures bus-level event streams
-/// reports don't carry, and the differential oracle must re-execute
-/// runs independently, not read back its own answers. Unprobed runs
-/// with an installed [`crate::cache::RunCache`] are served by key.
+/// Cache gate for a solo run. Probed runs NEVER consult the cache: a
+/// [`RunProbe`] captures bus-level event streams reports don't carry,
+/// and the differential oracle must re-execute runs independently, not
+/// read back its own answers. Unprobed runs with an installed
+/// [`crate::cache::RunCache`] are served by key.
+///
+/// A solo runs through the one run loop as the only requestor of a
+/// [`FabricSpec::flat`] topology: a one-member channel with no mux. Its
+/// design rules are the solo set ([`drc::check_single`]), and an error
+/// response that reached it aborts the run as [`RunError::Axi`] instead
+/// of being recorded as a per-requestor outcome.
 fn run_single(
     cfg: &SystemConfig,
     kind: SystemKind,
     kernel: &Kernel,
     probe: Option<&mut RunProbe>,
 ) -> Result<SystemReport, RunError> {
+    let run = |probe: Option<&mut RunProbe>| {
+        let report = drc::check_single(cfg, kind, kernel);
+        if !report.is_clean() {
+            return Err(RunError::Drc(report));
+        }
+        let topo = Topology {
+            system: *cfg,
+            requestors: vec![Requestor::new(kind, kernel.clone())],
+            fabric: FabricSpec::flat(),
+        };
+        let report = run_fabric_uncached(&topo, probe)?;
+        match report.outcomes.as_slice() {
+            [RequestorOutcome::Faulted(fault)] => Err(RunError::Axi(fault.clone())),
+            _ => Ok(report),
+        }
+    };
     // Fault-injected runs also bypass the cache: their reports depend on
     // the FaultSpec, which is deliberately not part of the key canon
     // (chaos runs are cheap and never feed figures).
@@ -997,200 +989,15 @@ fn run_single(
             return rc.run_report(
                 key,
                 || crate::cache::placeholder_single(cfg, kind, kernel),
-                || run_single_uncached(cfg, kind, kernel, None),
+                || run(None),
             );
         }
     }
-    run_single_uncached(cfg, kind, kernel, probe)
+    run(probe)
 }
 
-/// The classic one-requestor loop — kept as a dedicated path so a
-/// 1-requestor [`Topology`] reproduces the historical `run_kernel`
-/// cycle-for-cycle (no mux hop, no window offset).
-fn run_single_uncached(
-    cfg: &SystemConfig,
-    kind: SystemKind,
-    kernel: &Kernel,
-    probe: Option<&mut RunProbe>,
-) -> Result<SystemReport, RunError> {
-    let report = drc::check_single(cfg, kind, kernel);
-    if !report.is_clean() {
-        return Err(RunError::Drc(report));
-    }
-    let mut engine = Engine::new(cfg.vproc, kind, cfg.bus(), kernel.program.clone());
-    let mut cycles = 0u64;
-    let event = cfg.sched == SchedMode::Event;
-    let mut sched_stats = SchedProbe::default();
-    // IDEAL has no bus to monitor; a probed AXI run gets one full-ID-space
-    // monitor on its single channel bundle.
-    let mut monitor = match (&probe, kind) {
-        (Some(_), SystemKind::Base | SystemKind::Pack) => Some(Monitor::new(cfg.bus())),
-        _ => None,
-    };
-    let mut watchdog = Watchdog::new(cfg.watchdog);
-    let (storage, adapter_stats, fault_counters) = match kind {
-        SystemKind::Ideal => {
-            let mut storage = kernel.build_storage();
-            while !engine.done() {
-                // Event mode: with no bus, the engine's own wake is the
-                // whole story. A sleep span is fast-forwarded in one step;
-                // the cap keeps the max_cycles overrun on a normal tick at
-                // the same cycle as lockstep.
-                if event {
-                    if let simkit::sched::Wake::Sleep(n) = engine.next_wake() {
-                        let span = n.min(cfg.max_cycles.saturating_sub(cycles));
-                        if span > 0 {
-                            engine.fast_forward(span);
-                            cycles += span;
-                            sched_stats.record_span(span);
-                            continue;
-                        }
-                    }
-                }
-                engine.tick(None, &mut storage);
-                cycles += 1;
-                let hung = cycles > cfg.max_cycles;
-                if hung || watchdog.expired(cycles, engine_progress(engine.stats())) {
-                    return Err(hang_error(
-                        kernel.name.clone(),
-                        cycles,
-                        if hung { cfg.max_cycles } else { cfg.watchdog },
-                        !hung,
-                        vec![HangComponent {
-                            name: "engine".into(),
-                            state: engine.describe_state(),
-                            busy: !engine.done(),
-                        }],
-                    ));
-                }
-            }
-            (storage, None, None)
-        }
-        SystemKind::Base | SystemKind::Pack => {
-            let mut adapter = Adapter::new(cfg.ctrl(), kernel.build_storage());
-            if let Some(spec) = cfg.fault.as_ref() {
-                adapter.install_faults(spec);
-            }
-            let mut ch = AxiChannels::new();
-            while !(engine.done() && adapter.quiescent() && ch.is_empty()) {
-                // Event mode: skip only when the fabric is fully drained —
-                // empty channels and a quiescent adapter mean no beat can
-                // arrive without the engine acting first, so the engine's
-                // sleep span is a whole-system idle span. (A draining
-                // load/store implies beats in flight somewhere, which
-                // fails this gate, so blocked-on-bus waits always tick.)
-                if event && ch.is_empty() && adapter.quiescent() {
-                    if let simkit::sched::Wake::Sleep(n) = engine.next_wake() {
-                        let span = n.min(cfg.max_cycles.saturating_sub(cycles));
-                        if span > 0 {
-                            engine.fast_forward(span);
-                            adapter.skip_idle(span);
-                            cycles += span;
-                            sched_stats.record_span(span);
-                            continue;
-                        }
-                    }
-                }
-                engine.tick(Some(&mut ch), adapter.storage_mut());
-                adapter.tick(&mut ch);
-                adapter.end_cycle();
-                match monitor.as_mut() {
-                    Some(mon) => ch.end_cycle_observed(mon),
-                    None => ch.end_cycle(),
-                }
-                cycles += 1;
-                let hung = cycles > cfg.max_cycles;
-                let sig = engine_progress(engine.stats())
-                    + adapter.word_reads()
-                    + adapter.word_writes()
-                    + adapter.fault_retries();
-                if hung || watchdog.expired(cycles, sig) {
-                    return Err(hang_error(
-                        kernel.name.clone(),
-                        cycles,
-                        if hung { cfg.max_cycles } else { cfg.watchdog },
-                        !hung,
-                        vec![
-                            HangComponent {
-                                name: "engine".into(),
-                                state: engine.describe_state(),
-                                busy: !engine.done(),
-                            },
-                            channels_component("channels", &ch),
-                            HangComponent {
-                                name: "adapter".into(),
-                                state: adapter.describe_state(),
-                                busy: !adapter.quiescent(),
-                            },
-                        ],
-                    ));
-                }
-            }
-            // An error response that reached the requestor is a typed
-            // abort — checked before functional verification, because the
-            // eager-functional model's architectural state is correct
-            // even when the timed bus traffic was not.
-            if let Some(bf) = engine.first_fault() {
-                return Err(RunError::Axi(fault_abort(
-                    0,
-                    bf,
-                    bf.axi_id,
-                    cfg.fault.as_ref(),
-                    &AdapterFaultSnap::of(&adapter),
-                )));
-            }
-            let stats = (
-                adapter.word_reads() + adapter.word_writes(),
-                adapter.bank_conflicts(),
-            );
-            let faults = (adapter.injected_faults(), adapter.fault_retries());
-            (adapter.into_storage(), Some(stats), Some(faults))
-        }
-    };
-    if let Some(p) = probe {
-        p.monitors = monitor.take().into_iter().collect();
-        p.downstream = None;
-        p.storage_digest = Some(memory_digest(storage.as_bytes()));
-        p.sched = sched_stats;
-    }
-    let stats = engine.stats();
-    verify_requestor(kernel, stats, &storage)?;
-    let fault_stats = fault_counters.unwrap_or((0, 0));
-    let report = build_report(
-        kernel,
-        kind,
-        cfg.bus_bits,
-        cycles,
-        stats,
-        adapter_stats,
-        fault_stats,
-    );
-    let (word_accesses, bank_conflicts) = (
-        report.activity.word_accesses,
-        adapter_stats.map_or(0, |(_, c)| c),
-    );
-    Ok(SystemReport {
-        cycles,
-        bus_r_busy: if kind == SystemKind::Ideal {
-            0.0
-        } else {
-            stats.r_util.busy_fraction()
-        },
-        bus_r_util: if kind == SystemKind::Ideal {
-            0.0
-        } else {
-            stats.r_util.payload_fraction()
-        },
-        bank_conflicts,
-        word_accesses,
-        requestors: vec![report],
-        outcomes: vec![RequestorOutcome::Completed],
-        levels: Vec::new(),
-    })
-}
-
-/// Cache gate in front of [`run_shared_uncached`]; same doctrine as
-/// [`run_single`] — probed topology runs always re-execute.
+/// Cache gate for a topology run; same doctrine as [`run_single`] —
+/// probed topology runs always re-execute.
 fn run_shared(topo: &Topology, probe: Option<&mut RunProbe>) -> Result<SystemReport, RunError> {
     if probe.is_none() && topo.system.fault.is_none() {
         if let Some(rc) = crate::cache::active() {
@@ -1198,345 +1005,11 @@ fn run_shared(topo: &Topology, probe: Option<&mut RunProbe>) -> Result<SystemRep
             return rc.run_report(
                 key,
                 || crate::cache::placeholder_topology(topo),
-                || run_shared_uncached(topo, None),
+                || run_fabric_uncached(topo, None),
             );
         }
     }
-    run_shared_uncached(topo, probe)
-}
-
-/// `true` when a topology runs on the classic flat path: one memory
-/// channel, no row-buffer model, and few enough bus-attached requestors
-/// for a single mux. Such topologies reproduce the pre-fabric runs
-/// byte-for-byte; everything else takes [`run_fabric_uncached`].
-fn uses_flat_path(topo: &Topology) -> bool {
-    let managers = topo
-        .requestors
-        .iter()
-        .filter(|r| r.kind != SystemKind::Ideal)
-        .count();
-    topo.fabric.channels == 1
-        && topo.fabric.row_words == 0
-        && managers <= MAX_MANAGERS
-        && managers <= topo.fabric.arity
-}
-
-/// The N-requestor loop: engines in private windows of one shared
-/// backing store, bus-attached ones funneled through the mux into the
-/// shared adapter. Topologies whose fabric needs cascaded mux levels,
-/// several memory channels, or row-buffer timing branch off to
-/// [`run_fabric_uncached`]; flat ones keep the historical loop (and its
-/// byte-identical reports) below.
-fn run_shared_uncached(
-    topo: &Topology,
-    probe: Option<&mut RunProbe>,
-) -> Result<SystemReport, RunError> {
-    if !uses_flat_path(topo) {
-        return run_fabric_uncached(topo, probe);
-    }
-    let sys = &topo.system;
-    let bases = topo.window_bases();
-    // Window relocation is zero-copy: `rebased` shares image payloads and
-    // reference data via `Arc`, and only offset-0 requestors share the
-    // program itself (nonzero windows rewrite instruction addresses).
-    let kernels: Vec<Kernel> = topo
-        .requestors
-        .iter()
-        .zip(&bases)
-        .map(|(r, &b)| r.kernel.rebased(b))
-        .collect();
-    let mut storage = Storage::new(topo.storage_bytes());
-    for k in &kernels {
-        k.apply_image(&mut storage);
-    }
-    let kinds: Vec<SystemKind> = topo.requestors.iter().map(|r| r.kind).collect();
-    // Manager-port slot of every bus-attached engine.
-    let mut slots: Vec<Option<usize>> = Vec::with_capacity(kinds.len());
-    let mut managers = 0usize;
-    for &kind in &kinds {
-        if kind == SystemKind::Ideal {
-            slots.push(None);
-        } else {
-            slots.push(Some(managers));
-            managers += 1;
-        }
-    }
-    let mut engines: Vec<Engine> = kernels
-        .iter()
-        .zip(&kinds)
-        .map(|(k, &kind)| {
-            let mut vcfg = sys.vproc;
-            if kind != SystemKind::Ideal && managers > 1 {
-                // Behind the mux, local IDs must leave room for the
-                // manager-index prefix.
-                vcfg.axi_id_bits = LOCAL_ID_BITS;
-            }
-            Engine::new(vcfg, kind, sys.bus(), k.program.clone())
-        })
-        .collect();
-    // The adapter owns the shared storage even when every requestor is
-    // IDEAL; it is simply never ticked then.
-    let mut adapter = Adapter::new(sys.ctrl(), storage);
-    let mut mgr: Vec<AxiChannels> = (0..managers).map(|_| AxiChannels::new()).collect();
-    let mut down = AxiChannels::new();
-    let mut mux = (managers > 1).then(|| AxiMux::new(managers));
-    if let Some(spec) = sys.fault.as_ref() {
-        adapter.install_faults(spec);
-        if let Some(mux) = mux.as_mut() {
-            mux.install_faults(spec);
-        }
-    }
-    // Probed runs monitor every manager port (narrow ID space when the
-    // port sits behind the mux) and the shared downstream link.
-    let mut monitors: Vec<Monitor> = match &probe {
-        Some(_) => {
-            let id_bits = if managers > 1 { LOCAL_ID_BITS } else { 8 };
-            (0..managers)
-                .map(|_| Monitor::with_id_bits(sys.bus(), id_bits))
-                .collect()
-        }
-        None => Vec::new(),
-    };
-    let mut down_monitor = match (&probe, &mux) {
-        (Some(_), Some(_)) => Some(Monitor::new(sys.bus())),
-        _ => None,
-    };
-
-    let mut cycles = 0u64;
-    let mut done_at: Vec<Option<u64>> = vec![None; engines.len()];
-    let mut sched_stats = SchedProbe::default();
-    let mut watchdog = Watchdog::new(sys.watchdog);
-    // Event mode: a wake-condition registry with one component per engine.
-    // The fabric (channels, mux, adapter) is gated separately below — it
-    // is either drained (skippable) or ready, never on a countdown.
-    let mut scheduler = (sys.sched == SchedMode::Event).then(|| {
-        let mut s = simkit::sched::Scheduler::new();
-        let ids: Vec<simkit::sched::CompId> = (0..engines.len())
-            .map(|_| s.add_component("engine", simkit::sched::WakeCond::Countdown))
-            .collect();
-        (s, ids)
-    });
-    loop {
-        if let Some((s, ids)) = scheduler.as_mut() {
-            // The skip gate: every channel drained, mux and adapter
-            // quiescent. Then no beat can reach any engine without some
-            // engine acting first, so the engines' merged wake governs the
-            // whole system. (This is exactly the loop's `drained` check.)
-            let fabric_idle = adapter.quiescent()
-                && down.is_empty()
-                && mgr.iter().all(AxiChannels::is_empty)
-                && mux.as_ref().is_none_or(AxiMux::quiescent);
-            if fabric_idle {
-                for (i, engine) in engines.iter().enumerate() {
-                    let wake = if done_at[i].is_some() {
-                        // Finished requestors are not ticked in lockstep
-                        // either; they contribute no deadline.
-                        simkit::sched::Wake::Idle
-                    } else {
-                        engine.next_wake()
-                    };
-                    s.note(ids[i], wake);
-                }
-                // `idle_span` is None when an engine is ready or when no
-                // live engine holds a deadline (a genuine deadlock must
-                // tick normally into the max_cycles error, exactly as
-                // lockstep would).
-                if let Some(n) = s.idle_span() {
-                    let span = n.min(sys.max_cycles.saturating_sub(cycles));
-                    if span > 0 {
-                        for (i, engine) in engines.iter_mut().enumerate() {
-                            if done_at[i].is_none() {
-                                engine.fast_forward(span);
-                            }
-                        }
-                        if managers > 0 {
-                            adapter.skip_idle(span);
-                        }
-                        cycles += span;
-                        s.advance(span);
-                        sched_stats.record_span(span);
-                        for (i, engine) in engines.iter().enumerate() {
-                            if done_at[i].is_none() && engine.done() {
-                                done_at[i] = Some(cycles);
-                            }
-                        }
-                        // `fabric_idle` above is the `drained` condition
-                        // and a skip leaves the fabric untouched.
-                        if done_at.iter().all(Option::is_some) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-            }
-        }
-        for (i, engine) in engines.iter_mut().enumerate() {
-            // A finished requestor contributes nothing to any channel;
-            // not ticking it freezes its stats (cycles, utilization
-            // denominators) at its own completion cycle, so its
-            // RunReport describes *its* run, not the slowest one's.
-            if done_at[i].is_some() {
-                continue;
-            }
-            match slots[i] {
-                Some(m) => engine.tick(Some(&mut mgr[m]), adapter.storage_mut()),
-                None => engine.tick(None, adapter.storage_mut()),
-            }
-        }
-        match mux.as_mut() {
-            Some(mux) => {
-                mux.tick(&mut mgr, &mut down);
-                adapter.tick(&mut down);
-            }
-            None if managers == 1 => adapter.tick(&mut mgr[0]),
-            None => {}
-        }
-        if managers > 0 {
-            adapter.end_cycle();
-        }
-        match down_monitor.as_mut() {
-            Some(mon) => down.end_cycle_observed(mon),
-            None => down.end_cycle(),
-        }
-        for (m, ch) in mgr.iter_mut().enumerate() {
-            match monitors.get_mut(m) {
-                Some(mon) => ch.end_cycle_observed(mon),
-                None => ch.end_cycle(),
-            }
-        }
-        cycles += 1;
-        for (i, engine) in engines.iter().enumerate() {
-            if done_at[i].is_none() && engine.done() {
-                done_at[i] = Some(cycles);
-            }
-        }
-        let drained = adapter.quiescent()
-            && down.is_empty()
-            && mgr.iter().all(AxiChannels::is_empty)
-            && mux.as_ref().is_none_or(AxiMux::quiescent);
-        if done_at.iter().all(Option::is_some) && drained {
-            break;
-        }
-        let hung = cycles > sys.max_cycles;
-        let sig = engines
-            .iter()
-            .map(|e| engine_progress(e.stats()))
-            .sum::<u64>()
-            + adapter.word_reads()
-            + adapter.word_writes()
-            + adapter.fault_retries();
-        if hung || watchdog.expired(cycles, sig) {
-            let mut components: Vec<HangComponent> = engines
-                .iter()
-                .enumerate()
-                .map(|(i, e)| HangComponent {
-                    name: format!("requestor {i} engine"),
-                    state: e.describe_state(),
-                    busy: done_at[i].is_none(),
-                })
-                .collect();
-            for (m, ch) in mgr.iter().enumerate() {
-                components.push(channels_component(&format!("manager {m} channels"), ch));
-            }
-            if let Some(mux) = mux.as_ref() {
-                components.push(HangComponent {
-                    name: "mux".into(),
-                    state: mux.describe_state(),
-                    busy: !mux.quiescent() || mux.storm_active(),
-                });
-                components.push(channels_component("downstream channels", &down));
-            }
-            if managers > 0 {
-                components.push(HangComponent {
-                    name: "adapter".into(),
-                    state: adapter.describe_state(),
-                    busy: !adapter.quiescent(),
-                });
-            }
-            return Err(hang_error(
-                format!("topology of {} requestors", engines.len()),
-                cycles,
-                if hung { sys.max_cycles } else { sys.watchdog },
-                !hung,
-                components,
-            ));
-        }
-    }
-    let word_accesses = adapter.word_reads() + adapter.word_writes();
-    let bank_conflicts = adapter.bank_conflicts();
-    let bus_beats: u64 = adapter.r_beats();
-    let adapter_faults = AdapterFaultSnap::of(&adapter);
-    let storage = adapter.into_storage();
-    if let Some(p) = probe {
-        p.monitors = monitors;
-        p.downstream = down_monitor.take();
-        p.storage_digest = Some(memory_digest(storage.as_bytes()));
-        p.sched = sched_stats;
-    }
-    let bus_bytes = sys.bus().data_bytes() as u64;
-    let mut payload_bytes = 0u64;
-    let mut reports = Vec::with_capacity(engines.len());
-    let mut outcomes = Vec::with_capacity(engines.len());
-    for (i, engine) in engines.iter().enumerate() {
-        let stats = engine.stats();
-        // A faulting requestor is isolated: its abort is recorded as a
-        // per-requestor outcome (functional verification is meaningless
-        // for it), while healthy requestors still verify normally.
-        match engine.first_fault() {
-            Some(bf) => {
-                // Report the ID as the shared endpoint saw it: behind a
-                // mux the manager index rides the top prefix bits.
-                let axi_id = match (slots[i], managers > 1) {
-                    (Some(m), true) => AxiMux::prefix_id(LOCAL_ID_BITS, m, AxiId(bf.axi_id)).0,
-                    _ => bf.axi_id,
-                };
-                outcomes.push(RequestorOutcome::Faulted(fault_abort(
-                    i,
-                    bf,
-                    axi_id,
-                    sys.fault.as_ref(),
-                    &adapter_faults,
-                )));
-            }
-            None => {
-                verify_requestor(&kernels[i], stats, &storage)
-                    .map_err(|e| format!("requestor {i}: {e}"))?;
-                outcomes.push(RequestorOutcome::Completed);
-            }
-        }
-        if kinds[i] != SystemKind::Ideal {
-            payload_bytes += stats.r_util.payload_bytes();
-        }
-        reports.push(build_report(
-            &kernels[i],
-            kinds[i],
-            sys.bus_bits,
-            done_at[i].expect("loop exits only when all done"),
-            stats,
-            None,
-            (0, 0),
-        ));
-    }
-    Ok(SystemReport {
-        cycles,
-        requestors: reports,
-        bus_r_busy: bus_beats as f64 / cycles as f64,
-        bus_r_util: payload_bytes as f64 / (cycles * bus_bytes) as f64,
-        bank_conflicts,
-        word_accesses,
-        outcomes,
-        levels: mux
-            .as_ref()
-            .map(|m| {
-                vec![LevelOccupancy {
-                    level: 0,
-                    muxes: 1,
-                    ar_beats: m.ar_forwarded(),
-                    r_beats: m.r_forwarded(),
-                }]
-            })
-            .unwrap_or_default(),
-    })
+    run_fabric_uncached(topo, probe)
 }
 
 /// One memory channel of the hierarchical fabric: a cascaded tree of
@@ -1622,6 +1095,9 @@ impl ChannelHw {
         }
     }
 
+    // simcheck: hot-path begin -- a channel's per-cycle tick, register
+    // stage and drained query.
+
     /// One cycle: each mux level bottom-up, then the adapter on the root
     /// link. The FIFO register stages make every hop visible only at the
     /// cycle boundary, so each level adds one cycle of honest latency in
@@ -1659,19 +1135,18 @@ impl ChannelHw {
     /// Cycle-boundary register stage for every bundle in the channel,
     /// feeding the probe monitors where attached.
     fn end_cycle(&mut self) {
-        for (j, ch) in self.leaves.iter_mut().enumerate() {
-            match self.leaf_monitors.get_mut(j) {
-                Some(mon) => ch.end_cycle_observed(mon),
-                None => ch.end_cycle(),
+        if self.leaf_monitors.is_empty() {
+            self.leaves.iter_mut().for_each(AxiChannels::end_cycle);
+        } else {
+            for (ch, mon) in self.leaves.iter_mut().zip(&mut self.leaf_monitors) {
+                ch.end_cycle_observed(mon);
             }
         }
-        let last = self.links.len();
-        for (l, row) in self.links.iter_mut().enumerate() {
-            for ch in row.iter_mut() {
-                match self.root_monitor.as_mut() {
-                    Some(mon) if l + 1 == last => ch.end_cycle_observed(mon),
-                    _ => ch.end_cycle(),
-                }
+        if let Some((root, inner)) = self.links.split_last_mut() {
+            inner.iter_mut().flatten().for_each(AxiChannels::end_cycle);
+            match self.root_monitor.as_mut() {
+                Some(mon) => root[0].end_cycle_observed(mon),
+                None => root[0].end_cycle(),
             }
         }
     }
@@ -1681,9 +1156,17 @@ impl ChannelHw {
     fn drained(&self) -> bool {
         self.adapter.quiescent()
             && self.leaves.iter().all(AxiChannels::is_empty)
-            && self.links.iter().flatten().all(AxiChannels::is_empty)
-            && self.levels.iter().flatten().all(AxiMux::quiescent)
+            && self
+                .links
+                .iter()
+                .all(|row| row.iter().all(AxiChannels::is_empty))
+            && self
+                .levels
+                .iter()
+                .all(|row| row.iter().all(AxiMux::quiescent))
     }
+
+    // simcheck: hot-path end
 
     /// Appends this channel's component snapshots for hang forensics, in
     /// dependency order (leaves, then levels bottom-up, then adapter).
@@ -1716,22 +1199,17 @@ impl ChannelHw {
     }
 }
 
-/// Event-mode parking state of the fabric loop: which engines are parked
+/// Event-mode parking state of the run loop: which engines are parked
 /// on their leaf FIFOs ([`Engine::parked`]), why, and since when.
 struct ParkLot {
     /// Per engine: the park reason and the first cycle it was not ticked.
     slots: Vec<Option<(Parked, u64)>>,
-    /// Parked engines blocked on a scalar store. Lockstep would book one
-    /// scalar stall cycle per cycle for each, which the watchdog counts
-    /// as progress.
-    scalar: u64,
 }
 
 impl ParkLot {
     fn new(engines: usize) -> Self {
         ParkLot {
             slots: vec![None; engines],
-            scalar: 0,
         }
     }
 
@@ -1739,7 +1217,18 @@ impl ParkLot {
     /// skips.
     fn park(&mut self, i: usize, p: Parked, now: u64) {
         self.slots[i] = Some((p, now));
-        self.scalar += u64::from(p.scalar);
+    }
+
+    /// Scalar stall cycles lockstep would have booked before cycle `now`
+    /// for the engines parked on a scalar store, which the watchdog
+    /// counts as progress.
+    fn scalar_stalls(&self, now: u64) -> u64 {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|(p, _)| p.scalar)
+            .map(|&(_, since)| now - since)
+            .sum()
     }
 
     /// Replays the ticks engine `i` skipped before cycle `now` and
@@ -1748,7 +1237,6 @@ impl ParkLot {
         if let Some((p, since)) = self.slots[i].take() {
             engine.skip_parked(p, now - since);
             probe.parked_engine_ticks += now - since;
-            self.scalar -= u64::from(p.scalar);
         }
     }
 
@@ -1760,12 +1248,17 @@ impl ParkLot {
     }
 }
 
-/// The hierarchical-fabric loop: per-channel adapters behind cascaded
-/// mux trees, windows interleaved across the channels, engines in
-/// private windows. Flat topologies never come here (see
-/// [`uses_flat_path`] — they keep the historical loop byte-for-byte);
-/// this path generalizes the same loop shape to any requestor count the
-/// 16-bit ID space can carry.
+/// The run loop, the one every run goes through: per-channel adapters
+/// behind cascaded mux trees, windows interleaved across the channels,
+/// engines in private windows. A solo is the degenerate case — one
+/// channel whose only member ticks straight into the adapter — and any
+/// requestor count the 16-bit ID space can carry generalizes it.
+///
+/// Event mode fast-forwards spans in which every channel is drained and
+/// the live engines' merged [`Wake`] is a sleep, and parks engines whose
+/// ticks would only book stall counters ([`Engine::parked`]); lockstep
+/// ticks every live engine every cycle. The watchdog's progress
+/// signature is computed only while the watchdog is armed.
 fn run_fabric_uncached(
     topo: &Topology,
     probe: Option<&mut RunProbe>,
@@ -1831,68 +1324,64 @@ fn run_fabric_uncached(
     // has drained.
     let mut live = engines.len();
     let mut sched_stats = SchedProbe::default();
-    let mut watchdog = Watchdog::new(sys.watchdog);
-    // The engines' share of the watchdog signature, kept as lockstep
-    // would compute it: tick deltas, skipped spans, and one per cycle
-    // for every engine parked on a scalar store.
-    let mut engine_sig: u64 = engines.iter().map(|e| engine_progress(e.stats())).sum();
     let event = sys.sched == SchedMode::Event;
     let mut lot = ParkLot::new(engines.len());
-    // Event mode: the same per-engine wake registry as the flat loop;
-    // the fabric as a whole is either drained (skippable) or ready.
-    let mut scheduler = event.then(|| {
-        let mut s = simkit::sched::Scheduler::new();
-        let ids: Vec<simkit::sched::CompId> = (0..engines.len())
-            .map(|_| s.add_component("engine", simkit::sched::WakeCond::Countdown))
-            .collect();
-        (s, ids)
-    });
+    let mut watchdog = Watchdog::new(sys.watchdog);
+    // simcheck: hot-path begin -- the per-cycle body of the run loop;
+    // hang forensics, which format component snapshots, live in the
+    // cold `hang_forensics` outside this region.
     loop {
-        if let Some((s, ids)) = scheduler.as_mut() {
-            let fabric_idle = channels_hw.iter().all(ChannelHw::drained);
-            if fabric_idle {
-                for (i, engine) in engines.iter().enumerate() {
-                    let wake = if done_at[i].is_some() {
-                        simkit::sched::Wake::Idle
-                    } else {
-                        engine.next_wake()
-                    };
-                    s.note(ids[i], wake);
-                }
-                if let Some(n) = s.idle_span() {
-                    let span = n.min(sys.max_cycles.saturating_sub(cycles));
-                    if span > 0 {
-                        lot.unpark_all(&mut engines, cycles, &mut sched_stats);
-                        for (i, engine) in engines.iter_mut().enumerate() {
-                            if done_at[i].is_none() {
-                                let before = engine_progress(engine.stats());
-                                engine.fast_forward(span);
-                                engine_sig += engine_progress(engine.stats()) - before;
-                            }
-                        }
-                        for hw in channels_hw.iter_mut() {
-                            if !hw.members.is_empty() {
-                                hw.adapter.skip_idle(span);
-                            }
-                        }
-                        cycles += span;
-                        s.advance(span);
-                        sched_stats.record_span(span);
-                        for (i, engine) in engines.iter().enumerate() {
-                            if done_at[i].is_none() && engine.done() {
-                                done_at[i] = Some(cycles);
-                                live -= 1;
-                            }
-                        }
-                        if live == 0 {
-                            break;
-                        }
-                        continue;
+        // Event mode: with every channel drained no beat can reach an
+        // engine without some engine acting first, so the live engines'
+        // merged wake governs the whole system. It is a sleep only when
+        // no engine is ready and some engine holds a deadline (a genuine
+        // deadlock must tick normally into the max_cycles error, exactly
+        // as lockstep would).
+        if event && channels_hw.iter().all(ChannelHw::drained) {
+            let mut wake = Wake::Idle;
+            for (engine, done) in engines.iter().zip(&done_at) {
+                if done.is_none() {
+                    wake = wake.merge(engine.next_wake());
+                    if wake.is_ready() {
+                        break;
                     }
+                }
+            }
+            if let Some(n) = wake.sleep_ticks() {
+                let span = n.min(sys.max_cycles.saturating_sub(cycles));
+                if span > 0 {
+                    lot.unpark_all(&mut engines, cycles, &mut sched_stats);
+                    for (engine, done) in engines.iter_mut().zip(&done_at) {
+                        if done.is_none() {
+                            engine.fast_forward(span);
+                        }
+                    }
+                    for hw in channels_hw.iter_mut() {
+                        if !hw.members.is_empty() {
+                            hw.adapter.skip_idle(span);
+                        }
+                    }
+                    cycles += span;
+                    sched_stats.record_span(span);
+                    for (engine, done) in engines.iter().zip(done_at.iter_mut()) {
+                        if done.is_none() && engine.done() {
+                            *done = Some(cycles);
+                            live -= 1;
+                        }
+                    }
+                    // The skip left the drained fabric untouched.
+                    if live == 0 {
+                        break;
+                    }
+                    continue;
                 }
             }
         }
         for (i, engine) in engines.iter_mut().enumerate() {
+            // A finished requestor contributes nothing to any channel;
+            // not ticking it freezes its stats (cycles, utilization
+            // denominators) at its own completion cycle, so its
+            // RunReport describes *its* run, not the slowest one's.
             if done_at[i].is_some() {
                 continue;
             }
@@ -1912,7 +1401,6 @@ fn run_fabric_uncached(
                     }
                 }
             }
-            let before = engine_progress(engine.stats());
             match slots[i] {
                 Some((c, j)) => {
                     let hw = &mut channels_hw[c];
@@ -1923,7 +1411,6 @@ fn run_fabric_uncached(
                     engine.tick(None, hw.adapter.storage_mut());
                 }
             }
-            engine_sig += engine_progress(engine.stats()) - before;
             sched_stats.engine_ticks += 1;
             if engine.done() {
                 done_at[i] = Some(cycles + 1);
@@ -1935,44 +1422,27 @@ fn run_fabric_uncached(
             hw.end_cycle();
         }
         cycles += 1;
-        engine_sig += lot.scalar;
         if live == 0 && channels_hw.iter().all(ChannelHw::drained) {
             break;
         }
         let hung = cycles > sys.max_cycles;
-        let sig = engine_sig
-            + channels_hw
-                .iter()
-                .map(|hw| {
-                    hw.adapter.word_reads() + hw.adapter.word_writes() + hw.adapter.fault_retries()
-                })
-                .sum::<u64>();
-        if hung || watchdog.expired(cycles, sig) {
+        if hung
+            || (watchdog.armed()
+                && watchdog.expired(cycles, run_progress(&engines, &lot, cycles, &channels_hw)))
+        {
+            let limit = if hung { sys.max_cycles } else { sys.watchdog };
             lot.unpark_all(&mut engines, cycles, &mut sched_stats);
-            let mut components: Vec<HangComponent> = engines
-                .iter()
-                .enumerate()
-                .map(|(i, e)| HangComponent {
-                    name: format!("requestor {i} engine"),
-                    state: e.describe_state(),
-                    busy: done_at[i].is_none(),
-                })
-                .collect();
-            for (c, hw) in channels_hw.iter().enumerate() {
-                hw.hang_components(c, &mut components);
-            }
-            return Err(hang_error(
-                format!(
-                    "fabric topology of {} requestors over {nch} channels",
-                    engines.len()
-                ),
+            return Err(hang_forensics(
                 cycles,
-                if hung { sys.max_cycles } else { sys.watchdog },
+                limit,
                 !hung,
-                components,
+                &engines,
+                &done_at,
+                &channels_hw,
             ));
         }
     }
+    // simcheck: hot-path end
     // Per-level occupancy, aggregated across channels (level 0 is the
     // leaf level of every channel's tree).
     let depth = channels_hw
@@ -1999,19 +1469,7 @@ fn run_fabric_uncached(
             }
         })
         .collect();
-    let word_accesses: u64 = channels_hw
-        .iter()
-        .map(|hw| hw.adapter.word_reads() + hw.adapter.word_writes())
-        .sum();
-    let bank_conflicts: u64 = channels_hw
-        .iter()
-        .map(|hw| hw.adapter.bank_conflicts())
-        .sum();
-    let bus_beats: u64 = channels_hw.iter().map(|hw| hw.adapter.r_beats()).sum();
-    let fault_snaps: Vec<AdapterFaultSnap> = channels_hw
-        .iter()
-        .map(|hw| AdapterFaultSnap::of(&hw.adapter))
-        .collect();
+    let snaps: Vec<ChannelSnap> = channels_hw.iter().map(ChannelSnap::of).collect();
     let chan_depth: Vec<usize> = channels_hw.iter().map(|hw| hw.levels.len()).collect();
     // Consume the hardware: monitors out, per-channel storages out.
     let mut leaf_monitors: Vec<Monitor> = Vec::new();
@@ -2025,7 +1483,6 @@ fn run_fabric_uncached(
     if let Some(p) = probe {
         p.monitors = leaf_monitors;
         p.roots = root_monitors;
-        p.downstream = None;
         // Digest over the composed windows — every window read from its
         // owning channel's storage, gaps zero: the same layout a flat
         // shared store holds, so digests compare across fabric shapes.
@@ -2062,8 +1519,12 @@ fn run_fabric_uncached(
     for (i, engine) in engines.iter().enumerate() {
         let stats = engine.stats();
         let chan = placement.channel_of[i];
+        // A faulting requestor is isolated: its abort is recorded as a
+        // per-requestor outcome (functional verification is meaningless
+        // for it), while healthy requestors still verify normally.
         match engine.first_fault() {
             Some(bf) => {
+                // Report the ID as the channel's endpoint saw it.
                 let axi_id = match slots[i] {
                     Some((c, j)) => endpoint_id(c, j, bf.axi_id),
                     None => bf.axi_id,
@@ -2073,7 +1534,7 @@ fn run_fabric_uncached(
                     bf,
                     axi_id,
                     sys.fault.as_ref(),
-                    &fault_snaps[chan],
+                    &snaps[chan],
                 )));
             }
             None => {
@@ -2085,14 +1546,16 @@ fn run_fabric_uncached(
         if kinds[i] != SystemKind::Ideal {
             payload_bytes += stats.r_util.payload_bytes();
         }
+        // The only bus-attached member of a channel owns its adapter's
+        // whole activity.
+        let sole = slots[i].is_some() && snaps[chan].members == 1;
         reports.push(build_report(
             &kernels[i],
             kinds[i],
             sys.bus_bits,
             done_at[i].expect("loop exits only when all done"),
             stats,
-            None,
-            (0, 0),
+            sole.then_some(&snaps[chan]),
         ));
     }
     Ok(SystemReport {
@@ -2101,13 +1564,58 @@ fn run_fabric_uncached(
         // Several channels each move up to one R beat per cycle, so the
         // fabric busy figure is beats-per-cycle across all channels (it
         // may exceed 1.0); utilization normalizes by the aggregate width.
-        bus_r_busy: bus_beats as f64 / cycles as f64,
+        bus_r_busy: snaps.iter().map(|s| s.r_beats).sum::<u64>() as f64 / cycles as f64,
         bus_r_util: payload_bytes as f64 / (cycles * bus_bytes * nch as u64) as f64,
-        bank_conflicts,
-        word_accesses,
+        bank_conflicts: snaps.iter().map(|s| s.bank_conflicts).sum(),
+        word_accesses: snaps.iter().map(|s| s.word_accesses).sum(),
         outcomes,
         levels,
     })
+}
+
+/// Builds the [`RunError::Hang`] of a stalled run: every component's
+/// snapshot in dependency order (engines, then each channel's leaves,
+/// mux levels bottom-up and adapter) plus the computed suspect, the
+/// *deepest* busy component — the thing everything upstream is waiting
+/// on. Parked engines must be unparked first, so their statistics are
+/// current.
+#[cold]
+fn hang_forensics(
+    cycle: u64,
+    limit: u64,
+    no_progress: bool,
+    engines: &[Engine],
+    done_at: &[Option<u64>],
+    channels_hw: &[ChannelHw],
+) -> RunError {
+    let mut components: Vec<HangComponent> = engines
+        .iter()
+        .enumerate()
+        .map(|(i, e)| HangComponent {
+            name: format!("requestor {i} engine"),
+            state: e.describe_state(),
+            busy: done_at[i].is_none(),
+        })
+        .collect();
+    for (c, hw) in channels_hw.iter().enumerate() {
+        hw.hang_components(c, &mut components);
+    }
+    let suspect = components.iter().rev().find(|c| c.busy).map_or_else(
+        || "none (all components idle)".to_string(),
+        |c| c.name.clone(),
+    );
+    RunError::Hang(Box::new(HangReport {
+        cycle,
+        limit,
+        no_progress,
+        subject: format!(
+            "topology of {} requestors over {} channels",
+            engines.len(),
+            channels_hw.len()
+        ),
+        components,
+        suspect,
+    }))
 }
 
 #[cfg(test)]
@@ -2189,7 +1697,7 @@ mod tests {
                 "windows overlap"
             );
         }
-        assert!(topo.storage_bytes() >= *bases.last().unwrap() as usize);
+        assert!(topo.placement().storage_bytes >= *bases.last().unwrap() as usize);
     }
 
     #[test]
@@ -2244,25 +1752,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "bus-attached")]
-    fn legacy_shared_bus_shim_still_rejects_five_managers() {
-        // The deprecated shim keeps its documented panic — it predates
-        // the mux-tree fabric. The builder accepts the same five
-        // requestors by cascading (see builder_scales_past_the_flat_cap).
-        let cfg = SystemConfig::paper(SystemKind::Pack);
-        let p = cfg.kernel_params();
-        let reqs = (0..5)
-            .map(|s| Requestor::new(SystemKind::Pack, ismt::build(16, s, &p)))
-            .collect();
-        let _ = Topology::shared_bus(&cfg, reqs);
-    }
-
-    #[test]
     fn builder_scales_past_the_flat_cap() {
-        // Five bus-attached requestors used to be a hard panic; the
-        // fabric cascades them through two mux levels and every one
-        // still verifies against its own scalar reference.
+        // The fabric cascades five bus-attached requestors through two
+        // mux levels and every one still verifies against its own scalar
+        // reference.
         let cfg = SystemConfig::paper(SystemKind::Pack);
         let p = cfg.kernel_params();
         let topo = Topology::builder(&cfg)
@@ -2328,7 +1821,6 @@ mod tests {
                 .build()
                 .expect("DRC-clean")
         };
-        // row_words > 0 forces the fabric path even on one channel.
         let dram = run_system(&build(FabricSpec::flat().with_row_buffer(8, 16)))
             .expect("row-buffer run verifies");
         let sram = run_system(&build(FabricSpec::flat())).expect("flat run verifies");
@@ -2342,9 +1834,9 @@ mod tests {
 
     #[test]
     fn a_solo_requestor_pays_the_row_buffer_too() {
-        // Regression: the 1-requestor shortcut used to ignore the
-        // fabric, so a scaling sweep's solo baseline ran on flat SRAM
-        // timing while every other point paid DRAM-ish row misses.
+        // Regression: a 1-requestor topology must not ignore the
+        // fabric, or a scaling sweep's solo baseline runs on flat SRAM
+        // timing while every other point pays DRAM-ish row misses.
         let cfg = SystemConfig::paper(SystemKind::Pack);
         let p = cfg.kernel_params();
         let build = |spec: FabricSpec| {
@@ -2363,8 +1855,7 @@ mod tests {
             dram.cycles,
             sram.cycles
         );
-        // A flat-fabric solo still reproduces the classic
-        // single-requestor loop cycle-for-cycle.
+        // A flat-fabric solo reproduces run_kernel cycle-for-cycle.
         let single =
             run_kernel(&cfg, &gemv::build(24, 3, Dataflow::ColWise, &p)).expect("single verifies");
         assert_eq!(sram.cycles, single.cycles);

@@ -69,14 +69,14 @@ fn permanent_bank_delay_hang_names_the_adapter() {
         "the watchdog, not the cycle ceiling, fired"
     );
     assert_eq!(hang.limit, 5_000);
-    assert_eq!(hang.suspect, "adapter", "forensics:\n{hang}");
+    assert_eq!(hang.suspect, "ch0 adapter", "forensics:\n{hang}");
     assert!(
         hang.busy_components().count() >= 2,
         "the engine waiting on the adapter must also show busy:\n{hang}"
     );
     // The rendered report keeps enough state to triage from a log line.
     let text = err.to_string();
-    assert!(text.contains("suspect: adapter"), "{text}");
+    assert!(text.contains("suspect: ch0 adapter"), "{text}");
     assert!(text.contains("latency spike"), "{text}");
 }
 
@@ -109,7 +109,7 @@ fn permanent_grant_storm_hang_names_the_mux() {
         hang.no_progress,
         "the watchdog, not the cycle ceiling, fired"
     );
-    assert_eq!(hang.suspect, "mux", "forensics:\n{hang}");
+    assert_eq!(hang.suspect, "ch0 level 0 mux 0", "forensics:\n{hang}");
     assert!(
         hang.components.iter().any(|c| c.name.contains("engine")),
         "per-requestor engine snapshots must be present:\n{hang}"

@@ -9,10 +9,10 @@
 //! three system kinds and as a 2-requestor shared-bus topology, once per
 //! mode, and compares everything.
 //!
-//! The hierarchical-fabric loop additionally parks blocked engines on
-//! their leaf FIFOs in event mode. The fabric grid below holds that to
-//! the same oracle over every fabric shape, and the hang tests pin the
-//! watchdog signature the loop keeps incrementally.
+//! The run loop additionally parks blocked engines on their leaf FIFOs
+//! in event mode. The fabric grid below holds that to the same oracle
+//! over every fabric shape, and the hang tests pin the watchdog
+//! signature, which counts parked engines' owed scalar stalls.
 
 use std::sync::Arc;
 

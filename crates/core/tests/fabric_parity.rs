@@ -2,11 +2,12 @@
 //!
 //! The hierarchical fabric must not move a single bit of the flat-era
 //! results: 1-requestor runs and flat shared-bus topologies (up to four
-//! bus-attached requestors, one channel, no row buffer) keep the
-//! historical simulation loop. The golden numbers below were captured
-//! by running the same probe on the last pre-fabric commit and on this
-//! tree and diffing the output — they pin that equivalence against
-//! future drift.
+//! bus-attached requestors, one channel, no row buffer) reproduce what
+//! the pre-fabric simulation loops computed, although every shape now
+//! runs through the one fabric loop (a solo as a one-member channel, a
+//! flat bus as a single mux level). The golden numbers below were
+//! captured by running the same probe on the last pre-fabric commit and
+//! diffing the output — they pin that equivalence against future drift.
 //!
 //! The second half replays the fuzz regression corpus over an
 //! 8-requestor arity-2 mux tree with two interleaved, row-buffered
@@ -93,8 +94,8 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
     // synth kernels alternating across disjoint windows) on an arity-2
     // tree over two row-buffered channels. Event and lockstep must agree
     // bit-for-bit on cycles, the shared store, and every per-requestor
-    // and per-level counter — run_fabric under the same oracle as the
-    // flat loop.
+    // and per-level counter — the same oracle as the flat corpus
+    // replay.
     let fabric = FabricSpec::tree(2).with_channels(2).with_row_buffer(8, 6);
     let mk_sys = |sched: SchedMode| {
         let mut sys = SystemConfig::with_bus(SystemKind::Pack, 128);

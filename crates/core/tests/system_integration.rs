@@ -1,7 +1,7 @@
 //! Cross-crate integration: every benchmark kernel runs to completion and
 //! verifies against its scalar reference on every system, deterministically.
 
-use axi_pack::{run_kernel, run_system, Requestor, RunReport, SystemConfig, Topology};
+use axi_pack::{run_kernel, run_system, FabricSpec, Requestor, RunReport, SystemConfig, Topology};
 use vproc::SystemKind;
 use workloads::{gemv, ismt, prank, spmv, sssp, trmv, CsrMatrix, Dataflow, Kernel, KernelParams};
 
@@ -257,4 +257,43 @@ fn indirect_write_path_works_end_to_end() {
     let ideal_cfg = SystemConfig::paper(SystemKind::Ideal);
     let ki = scatter::build(256, 2.5, 7, &ideal_cfg.kernel_params());
     run_kernel(&ideal_cfg, &ki).expect("ideal scatter verifies");
+}
+
+#[test]
+fn a_channels_only_member_is_charged_its_adapter_counters() {
+    // A requestor alone on its channel owns the adapter's whole
+    // activity, whatever the fabric shape: its word accesses, bank
+    // conflicts and absorbed faults are the adapter's, not the
+    // one-word-per-element estimate and zeros a shared adapter reports.
+    use simkit::FaultSpec;
+    let mut cfg = SystemConfig::paper(SystemKind::Pack);
+    cfg.banks = 8;
+    cfg.fault = Some(FaultSpec::transient(3));
+    let p = cfg.kernel_params();
+    let topo = Topology::builder(&cfg)
+        .requestor(SystemKind::Pack, ismt::build(32, 5, &p))
+        .fabric(FabricSpec::flat().with_row_buffer(8, 16))
+        .build()
+        .expect("DRC-clean");
+    let sys = run_system(&topo).expect("transient faults are absorbed");
+    assert!(sys.all_completed());
+    let r = &sys.requestors[0];
+    assert_eq!(r.activity.word_accesses, sys.word_accesses);
+    assert!(sys.bank_conflicts > 0, "power-of-two banks conflict");
+    assert_eq!(r.bank_conflicts, sys.bank_conflicts);
+    assert!(r.injected_faults > 0, "the fault plan reached the banks");
+    assert!(r.fault_retries > 0, "absorbed faults were retried");
+
+    // Two requestors on two channels: one member each, so the
+    // per-requestor counters add up to the system totals.
+    let topo = Topology::builder(&cfg)
+        .requestor(SystemKind::Pack, ismt::build(32, 5, &p))
+        .requestor(SystemKind::Pack, ismt::build(32, 6, &p))
+        .fabric(FabricSpec::flat().with_channels(2).with_row_buffer(8, 16))
+        .build()
+        .expect("DRC-clean");
+    let sys = run_system(&topo).expect("transient faults are absorbed");
+    let sum = |f: fn(&RunReport) -> u64| sys.requestors.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|r| r.activity.word_accesses), sys.word_accesses);
+    assert_eq!(sum(|r| r.bank_conflicts), sys.bank_conflicts);
 }

@@ -19,7 +19,7 @@
 //! (any order) and then [`Fifo::end_cycle`] on every queue.
 //!
 //! Components may additionally report a [`sched::Wake`] at each cycle
-//! boundary; the [`sched`] module turns those reports into provably-safe
+//! boundary; [`sched::Wake::merge`] folds those reports into provably-safe
 //! idle-span skips so run loops can fast-forward across dead cycles instead
 //! of ticking through them (with the lockstep tick loop retained as the
 //! differential oracle).
@@ -62,7 +62,7 @@ pub use credit::Credit;
 pub use fault::{FaultReport, FaultSpec, HangComponent, HangReport, SiteSchedule};
 pub use fifo::Fifo;
 pub use pipeline::Pipeline;
-pub use sched::{Scheduler, Wake, WakeCond, WakeHeap};
+pub use sched::Wake;
 pub use stats::{Counter, Histogram, Utilization};
 pub use sweep::{PointCtx, SweepSpec};
 

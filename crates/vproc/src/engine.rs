@@ -1129,7 +1129,15 @@ impl Engine {
     /// store (if any) is blocked on a full AR, AW or W FIFO. `None` for
     /// IDEAL engines and for a [`Engine::done`] engine, which must tick
     /// so the run loop sees it finish.
+    #[inline]
     pub fn parked(&self, ch: &AxiChannels) -> Option<Parked> {
+        // The frontend test comes first: a stalled or issuing frontend is
+        // the most common reason a busy engine cannot park.
+        let scalar = match self.frontend() {
+            Frontend::Stalled(_) | Frontend::Issue => return None,
+            Frontend::ScalarStoreBlocked => true,
+            Frontend::WindowFull | Frontend::Finished => false,
+        };
         if self.kind == SystemKind::Ideal
             || ch.r.can_pop()
             || ch.b.can_pop()
@@ -1138,7 +1146,10 @@ impl Engine {
         {
             return None;
         }
-        let mut p = Parked::default();
+        let mut p = Parked {
+            scalar,
+            ..Parked::default()
+        };
         if let Some(run) = &self.load_issuing {
             // With requests left, a free AR slot means a push; without,
             // the tick retires the run to the draining set.
@@ -1163,11 +1174,6 @@ impl Engine {
                 }
                 p.w = true;
             }
-        }
-        match self.frontend() {
-            Frontend::Stalled(_) | Frontend::Issue => return None,
-            Frontend::ScalarStoreBlocked => p.scalar = true,
-            Frontend::WindowFull | Frontend::Finished => {}
         }
         if self.lane_wake() != Wake::Idle {
             return None;
