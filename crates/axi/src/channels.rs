@@ -65,23 +65,30 @@ impl AxiChannels {
 
     /// Advances all channel registers; call once per cycle.
     pub fn end_cycle(&mut self) {
-        self.ar.end_cycle();
-        self.aw.end_cycle();
-        self.w.end_cycle();
-        self.r.end_cycle();
-        self.b.end_cycle();
+        self.commit();
     }
 
-    /// Advances all channel registers like [`AxiChannels::end_cycle`],
-    /// first feeding every handshake accepted this cycle to a protocol
-    /// [`Monitor`].
+    /// Advances all channel registers like [`AxiChannels::end_cycle`] and
+    /// reports whether the bundle changed: `true` exactly when a beat was
+    /// pushed into or popped from any channel since the previous commit
+    /// (see [`Fifo::commit`]). A bundle nobody touched this cycle commits
+    /// as a no-op, so a run loop may skip it.
+    #[inline]
+    pub fn commit(&mut self) -> bool {
+        // `|`, not `||`: every channel must commit.
+        self.ar.commit() | self.aw.commit() | self.w.commit() | self.r.commit() | self.b.commit()
+    }
+
+    /// [`AxiChannels::commit`], first feeding every handshake accepted this
+    /// cycle to a protocol [`Monitor`].
     ///
     /// Each beat pushed into a channel sits in exactly one cycle's staged
-    /// set, so a run loop that ends every cycle through this method shows
-    /// the monitor every AR/AW/W/R/B handshake exactly once, in channel
-    /// order, without touching the simulated timing — the hook the
-    /// differential fuzzing harness attaches to.
-    pub fn end_cycle_observed(&mut self, mon: &mut Monitor) {
+    /// set, so a run loop that commits every touched bundle through this
+    /// method shows the monitor every AR/AW/W/R/B handshake exactly once,
+    /// in channel order, without touching the simulated timing — the hook
+    /// the differential fuzzing harness attaches to. A bundle whose commit
+    /// is skipped staged nothing, so skipping it hides no handshake.
+    pub fn commit_observed(&mut self, mon: &mut Monitor) -> bool {
         for ar in self.ar.staged() {
             mon.observe_ar(ar);
         }
@@ -97,7 +104,7 @@ impl AxiChannels {
         for b in self.b.staged() {
             mon.observe_b(b);
         }
-        self.end_cycle();
+        self.commit()
     }
 
     /// Returns `true` when every channel is fully drained.
@@ -148,7 +155,7 @@ mod tests {
         let mut ch = AxiChannels::new();
         let mut mon = Monitor::new(bus);
         ch.ar.push(ArBeat::incr(3, 0, 2, &bus));
-        ch.end_cycle_observed(&mut mon);
+        ch.commit_observed(&mut mon);
         for last in [false, true] {
             ch.r.push(RBeat {
                 id: AxiId(3),
@@ -157,13 +164,13 @@ mod tests {
                 last,
                 resp: Resp::Okay,
             });
-            ch.end_cycle_observed(&mut mon);
+            ch.commit_observed(&mut mon);
         }
         // Drain without re-observing: already-promoted beats never recount.
         ch.ar.pop();
         ch.r.pop();
         ch.r.pop();
-        ch.end_cycle_observed(&mut mon);
+        ch.commit_observed(&mut mon);
         assert_eq!(mon.r_beats(), 2);
         assert!(mon.violations().is_empty());
         assert!(mon.quiescent());

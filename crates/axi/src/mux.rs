@@ -31,6 +31,16 @@
 //! It also counts, per manager, granted and lost AR arbitration rounds
 //! ([`AxiMux::ar_grants`] / [`AxiMux::ar_lost`]) — the mux-level view of
 //! bus contention that the per-engine stall counters complement.
+//!
+//! # Sleeping
+//!
+//! A tick is a pure function of the FIFOs around the mux and its own
+//! state. After a tick that moved no beat the mux is
+//! [`AxiMux::blocked`]: until one of its ports or its downstream link
+//! changes, every tick would again move nothing and only book the lost
+//! AR rounds, so a run loop may stop ticking it and replay those ticks
+//! in bulk with [`AxiMux::skip_blocked`]. A mux with a fault plan never
+//! reads as blocked.
 
 use simkit::fault::{site, FaultSpec, SiteSchedule};
 use simkit::RoundRobin;
@@ -114,6 +124,9 @@ pub struct AxiMux {
     /// Installed grant-delay storms; `None` (the default) keeps the fault
     /// hooks to one branch per arbitration round.
     faults: Option<MuxFaults>,
+    /// After a tick that moved no beat: the managers that wanted an AR
+    /// grant, one bit each. `None` after a tick that moved a beat.
+    idle_lost: Option<u8>,
 }
 
 impl AxiMux {
@@ -166,6 +179,7 @@ impl AxiMux {
             ar_lost: vec![0; n],
             r_routed: 0,
             faults: None,
+            idle_lost: None,
         }
     }
 
@@ -260,11 +274,14 @@ impl AxiMux {
         } else {
             None
         };
+        let mut lost = 0u8;
         for (p, want) in wants.iter().enumerate() {
             if *want && granted != Some(p) {
                 self.ar_lost[p] += 1;
+                lost |= 1 << p;
             }
         }
+        let mut moved = granted.is_some();
         if let Some(p) = granted {
             let mut ar = managers[p].ar.pop().expect("granted manager has AR");
             ar.id = self.upstream_id(p, ar.id);
@@ -300,6 +317,7 @@ impl AxiMux {
                 self.w_route.push_back((p, aw.beats));
                 self.writes_open[p] += 1;
                 down.aw.push(aw);
+                moved = true;
             }
         }
         // W: strictly in AW order.
@@ -307,6 +325,7 @@ impl AxiMux {
             if let Some((p, beats_left)) = self.w_route.front_mut() {
                 if let Some(w) = managers[*p].w.pop() {
                     down.w.push(w);
+                    moved = true;
                     *beats_left -= 1;
                     if *beats_left == 0 {
                         self.w_route.pop_front();
@@ -327,6 +346,7 @@ impl AxiMux {
                 }
                 self.r_routed += 1;
                 managers[p].r.push(r);
+                moved = true;
             }
         }
         // B: route by ID prefix.
@@ -339,7 +359,40 @@ impl AxiMux {
                 debug_assert!(self.writes_open[p] > 0, "B without open write");
                 self.writes_open[p] = self.writes_open[p].saturating_sub(1);
                 managers[p].b.push(b);
+                moved = true;
             }
+        }
+        self.idle_lost = (!moved).then_some(lost);
+    }
+
+    /// `true` when the last [`AxiMux::tick`] moved no beat and no fault
+    /// plan is installed. Such a mux is blocked: every further tick on
+    /// ports and a downstream link whose FIFOs did not change would again
+    /// move nothing and book one lost AR round for every manager with a
+    /// visible AR. A run loop may stop ticking it until one of those
+    /// bundles changes and replay the ticks it skipped with
+    /// [`AxiMux::skip_blocked`]. A mux with a fault plan never reads as
+    /// blocked, because its storm schedule advances on demand rounds.
+    #[inline]
+    pub fn blocked(&self) -> bool {
+        self.idle_lost.is_some() && self.faults.is_none()
+    }
+
+    /// Replays `n` ticks of a [`AxiMux::blocked`] mux whose ports and
+    /// downstream link did not change meanwhile: each books one lost AR
+    /// round for every manager that wanted a grant. The counters, and
+    /// everything else the mux reports, end up identical to ticking `n`
+    /// times.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the mux is [`AxiMux::blocked`].
+    pub fn skip_blocked(&mut self, n: u64) {
+        assert!(self.blocked(), "only a blocked mux replays skipped ticks");
+        let mut lost = self.idle_lost.unwrap_or(0);
+        while lost != 0 {
+            self.ar_lost[lost.trailing_zeros() as usize] += n;
+            lost &= lost - 1;
         }
     }
 
@@ -608,6 +661,25 @@ mod tests {
             mux.ar_grants(0) + mux.ar_grants(1),
             16,
             "per-manager grant accounting survives storms"
+        );
+    }
+
+    #[test]
+    fn only_a_mux_without_a_fault_plan_reads_as_blocked() {
+        let mut mgrs = vec![AxiChannels::new(), AxiChannels::new()];
+        let mut down = AxiChannels::new();
+        let mut mux = AxiMux::new(2);
+        assert!(!mux.blocked(), "an unticked mux has not blocked");
+        mux.tick(&mut mgrs, &mut down);
+        assert!(mux.blocked(), "an idle tick moves no beat");
+        mux.skip_blocked(5);
+        assert!(mux.quiescent());
+        let mut faulted = AxiMux::new(2);
+        faulted.install_faults(&simkit::fault::FaultSpec::silent(1));
+        faulted.tick(&mut mgrs, &mut down);
+        assert!(
+            !faulted.blocked(),
+            "a storm schedule advances on demand rounds, so it never sleeps"
         );
     }
 

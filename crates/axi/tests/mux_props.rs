@@ -7,7 +7,9 @@
 use std::collections::VecDeque;
 
 use axi_proto::checker::Monitor;
-use axi_proto::{ArBeat, AxiChannels, AxiId, AxiMux, BusConfig, RBeat, Resp, WBeat, LOCAL_ID_BITS};
+use axi_proto::{
+    ArBeat, AxiChannels, AxiId, AxiMux, BusConfig, RBeat, Resp, WBeat, LOCAL_ID_BITS, MAX_FAN_IN,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,6 +131,71 @@ fn run_read_traffic(schedules: &[Vec<ReadReq>], seed: u64) -> Vec<Vec<(u16, u8, 
     );
     assert!(down_mon.quiescent());
     received
+}
+
+/// Runs `n` managers (one level of a cascade) under random read traffic
+/// for `warm` cycles, then freezes every party but the mux and ticks it
+/// until a tick moves no beat. Deterministic in `seed`, so two calls
+/// build identical copies. Returns the mux, its ports and its link.
+fn blocked_mux(seed: u64, n: usize, warm: u64) -> (AxiMux, Vec<AxiChannels>, AxiChannels) {
+    let bus = bus();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mux = AxiMux::cascade(n, LOCAL_ID_BITS);
+    let mut mgrs: Vec<AxiChannels> = (0..n).map(|_| AxiChannels::new()).collect();
+    let mut down = AxiChannels::new();
+    // Subordinate: accepted bursts, served strictly in order.
+    let mut open: VecDeque<OpenRead> = VecDeque::new();
+    let step = |mux: &mut AxiMux, mgrs: &mut Vec<AxiChannels>, down: &mut AxiChannels| {
+        mux.tick(mgrs, down);
+        for m in mgrs.iter_mut() {
+            m.end_cycle();
+        }
+        down.end_cycle();
+    };
+    for cycle in 0..warm {
+        for m in mgrs.iter_mut() {
+            if m.ar.can_push() && rng.gen_range(0..2u32) == 0 {
+                let id = rng.gen_range(0..1u8 << LOCAL_ID_BITS);
+                m.ar.push(ArBeat::incr(id, 0x40 * cycle, rng.gen_range(1..4u32), &bus));
+            }
+            if rng.gen_range(0..2u32) == 0 {
+                m.r.pop();
+            }
+        }
+        if rng.gen_range(0..2u32) == 0 {
+            if let Some(ar) = down.ar.pop() {
+                open.push_back(OpenRead {
+                    id: ar.id,
+                    beats_left: ar.beats,
+                });
+            }
+        }
+        if down.r.can_push() && rng.gen_range(0..2u32) == 0 {
+            if let Some(o) = open.front_mut() {
+                o.beats_left -= 1;
+                down.r.push(RBeat {
+                    id: o.id,
+                    data: vec![0u8; bus.data_bytes()].into(),
+                    payload_bytes: bus.data_bytes(),
+                    last: o.beats_left == 0,
+                    resp: Resp::Okay,
+                });
+                if o.beats_left == 0 {
+                    open.pop_front();
+                }
+            }
+        }
+        step(&mut mux, &mut mgrs, &mut down);
+    }
+    // Frozen: full FIFOs stay full and nothing new arrives, so the mux
+    // runs out of beats to move within a few cycles.
+    for _ in 0..16 {
+        step(&mut mux, &mut mgrs, &mut down);
+        if mux.blocked() {
+            return (mux, mgrs, down);
+        }
+    }
+    panic!("a frozen mux never blocked");
 }
 
 fn local_ids() -> impl Strategy<Value = u8> {
@@ -289,5 +356,37 @@ proptest! {
         }
         prop_assert_eq!(&got_b, &expected_b, "B responses lost or misrouted");
         prop_assert!(mux.quiescent(), "mux never drained");
+    }
+
+    /// A blocked mux may sleep: after a tick that moved no beat, replaying
+    /// `k` skipped ticks with `skip_blocked` leaves every counter and the
+    /// quiescence state exactly where `k` more ticks on the unchanged
+    /// ports would.
+    #[test]
+    fn a_blocked_tick_plus_k_replayed_equals_k_plus_one_ticks(
+        seed in 0u64..1_000_000,
+        n in 1usize..MAX_FAN_IN + 1,
+        warm in 0u64..60,
+        k in 0u64..20,
+    ) {
+        let (mut ticked, mut mgrs, mut down) = blocked_mux(seed, n, warm);
+        let (mut slept, _, _) = blocked_mux(seed, n, warm);
+        for _ in 0..k {
+            ticked.tick(&mut mgrs, &mut down);
+            prop_assert!(ticked.blocked(), "a blocked mux moved a beat on unchanged ports");
+            for m in mgrs.iter_mut() {
+                prop_assert!(!m.commit(), "a blocked tick changed a port");
+            }
+            prop_assert!(!down.commit(), "a blocked tick changed the link");
+        }
+        slept.skip_blocked(k);
+        for p in 0..n {
+            prop_assert_eq!(ticked.ar_lost(p), slept.ar_lost(p), "ar_lost of manager {}", p);
+            prop_assert_eq!(ticked.ar_grants(p), slept.ar_grants(p), "ar_grants of manager {}", p);
+            prop_assert_eq!(ticked.manager_quiescent(p), slept.manager_quiescent(p));
+        }
+        prop_assert_eq!(ticked.r_forwarded(), slept.r_forwarded());
+        prop_assert_eq!(ticked.quiescent(), slept.quiescent());
+        prop_assert_eq!(ticked.describe_state(), slept.describe_state());
     }
 }

@@ -68,7 +68,7 @@ pub fn memory_digest(bytes: &[u8]) -> u64 {
 /// bit-identical between event and lockstep modes (that is the oracle's
 /// contract), while skip counts are a property of *how* time advanced.
 /// Lockstep runs never skip: they report zero skipped cycles and zero
-/// parked engine ticks (see [`SchedProbe::skipped_any`]).
+/// parked engine and mux ticks (see [`SchedProbe::skipped_any`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedProbe {
     /// Cycles covered by fast-forwarded idle spans instead of ticks.
@@ -80,14 +80,18 @@ pub struct SchedProbe {
     /// Engine ticks the run loop replayed in bulk for engines parked on
     /// their leaf FIFOs instead of ticking them.
     pub parked_engine_ticks: u64,
+    /// Mux ticks the run loop replayed in bulk for blocked muxes that
+    /// slept until a bundle next to them changed, instead of ticking
+    /// them.
+    pub parked_mux_ticks: u64,
 }
 
 impl SchedProbe {
     /// `true` when the run advanced any time without ticking: an idle
-    /// span was fast-forwarded or a parked engine's ticks were replayed.
-    /// Lockstep runs must always answer `false`.
+    /// span was fast-forwarded, or a parked engine's or sleeping mux's
+    /// ticks were replayed. Lockstep runs must always answer `false`.
     pub fn skipped_any(&self) -> bool {
-        self.skip_spans != 0 || self.parked_engine_ticks != 0
+        self.skip_spans != 0 || self.parked_engine_ticks != 0 || self.parked_mux_ticks != 0
     }
 
     /// Accounts one fast-forwarded span of `span` cycles.
@@ -836,7 +840,7 @@ pub fn check_burst_seed(seed: u64) -> Result<SeedOutcome, String> {
         }
         adapter.tick(&mut ch);
         adapter.end_cycle();
-        ch.end_cycle_observed(&mut mon);
+        ch.commit_observed(&mut mon);
         cycles += 1;
         if next_txn == txns.len()
             && open_reads.is_empty()

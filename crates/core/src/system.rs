@@ -1016,23 +1016,54 @@ fn run_shared(topo: &Topology, probe: Option<&mut RunProbe>) -> Result<SystemRep
 /// round-robin muxes funneling the channel's bus-attached requestors
 /// into its own near-memory adapter, which owns the channel's copy of
 /// the backing store (only this channel's windows are live in it).
+///
+/// In event mode the channel's per-cycle work follows what moves. A mux
+/// whose tick moved no beat ([`AxiMux::blocked`]) sleeps until the
+/// commit of a bundle next to it reports a change, and the ticks it
+/// slept through are replayed in bulk when it wakes
+/// ([`AxiMux::skip_blocked`]). The register stage commits only the
+/// bundles a component touched this cycle; an untouched bundle's commit
+/// is a no-op. Lockstep ticks every mux every cycle.
 struct ChannelHw {
     /// Requestor index of every leaf port, in port order.
     members: Vec<usize>,
-    /// Leaf bundles, one per member; engines tick directly into these.
-    leaves: Vec<AxiChannels>,
-    /// Mux levels bottom-up; `levels[l][k]` drains into `links[l][k]`.
-    /// The last level always holds exactly one mux — the tree root.
-    levels: Vec<Vec<AxiMux>>,
-    links: Vec<Vec<AxiChannels>>,
+    /// Every bundle of the channel: first the leaves, one per member in
+    /// port order (engines tick directly into these), then the
+    /// downstream link of every mux, in `muxes` order. The last bundle
+    /// feeds the adapter: the root link, or a lone member's leaf.
+    bundles: Vec<AxiChannels>,
+    /// The mux tree, level by level bottom-up; mux `m` drains the
+    /// bundles `ports[m]` into bundle `members.len() + m`. The last mux
+    /// is the tree root.
+    muxes: Vec<AxiMux>,
+    /// Per mux: the bundle range `lo..hi` feeding its manager ports.
+    ports: Vec<(usize, usize)>,
+    /// Index of the first mux of each level, then `muxes.len()`.
+    level_start: Vec<usize>,
+    /// Per bundle: the mux it feeds as a manager port, or [`NO_MUX`]
+    /// for the bundle that feeds the adapter.
+    feeds: Vec<usize>,
     adapter: Adapter,
-    arity: usize,
+    /// Event mode: blocked muxes may sleep.
+    event: bool,
+    /// Muxes ticked this cycle; the others sleep.
+    mux_awake: IndexSet,
+    /// Per sleeping mux: the first cycle it was not ticked.
+    asleep_since: Vec<u64>,
+    /// Bundles a component ticked next to this cycle: the only bundles
+    /// the register stage commits.
+    touched: IndexSet,
+    /// Mux ticks replayed in bulk for sleeping muxes.
+    parked_mux_ticks: u64,
     /// Monitors on the leaf bundles (probed runs only), one per member.
     leaf_monitors: Vec<Monitor>,
     /// Monitor on the root link below the tree — probed runs with two or
     /// more members only; a single member's leaf *is* the root link.
     root_monitor: Option<Monitor>,
 }
+
+/// [`ChannelHw::feeds`] of the bundle that feeds the adapter.
+const NO_MUX: usize = usize::MAX;
 
 impl ChannelHw {
     fn new(
@@ -1047,31 +1078,41 @@ impl ChannelHw {
         // for direct callers of the uncached internals.
         let arity = fabric.arity.clamp(2, MAX_FAN_IN);
         let level_bits = fabric.level_bits();
-        let leaves: Vec<AxiChannels> = (0..members.len()).map(|_| AxiChannels::new()).collect();
-        let mut levels: Vec<Vec<AxiMux>> = Vec::new();
-        let mut links: Vec<Vec<AxiChannels>> = Vec::new();
-        let mut width = members.len();
+        let leaves = members.len();
+        let mut muxes: Vec<AxiMux> = Vec::new();
+        let mut ports: Vec<(usize, usize)> = Vec::new();
+        let mut level_start: Vec<usize> = Vec::new();
+        let mut feeds: Vec<usize> = vec![NO_MUX; leaves];
+        // First bundle of the level being built, and its width.
+        let mut lo = 0;
+        let mut width = leaves;
         let mut shift = LOCAL_ID_BITS;
         while width > 1 {
-            let groups = width.div_ceil(arity);
-            levels.push(
-                (0..groups)
-                    .map(|k| AxiMux::cascade((width - k * arity).min(arity), shift))
-                    .collect(),
-            );
-            links.push((0..groups).map(|_| AxiChannels::new()).collect());
-            width = groups;
+            level_start.push(muxes.len());
+            for k in 0..width.div_ceil(arity) {
+                let fan = (width - k * arity).min(arity);
+                let first = lo + k * arity;
+                feeds[first..first + fan].fill(muxes.len());
+                ports.push((first, first + fan));
+                muxes.push(AxiMux::cascade(fan, shift));
+                // The new mux's downstream link.
+                feeds.push(NO_MUX);
+            }
+            lo = leaves + level_start[level_start.len() - 1];
+            width = width.div_ceil(arity);
             shift += level_bits;
         }
+        level_start.push(muxes.len());
+        let bundles: Vec<AxiChannels> = (0..feeds.len()).map(|_| AxiChannels::new()).collect();
         let mut adapter = Adapter::new(sys.ctrl_for(fabric), storage);
         if let Some(spec) = sys.fault.as_ref() {
             adapter.install_faults(spec);
-            for mux in levels.iter_mut().flatten() {
+            for mux in muxes.iter_mut() {
                 mux.install_faults(spec);
             }
         }
         let leaf_monitors: Vec<Monitor> = if probed {
-            let id_bits = if members.len() > 1 { LOCAL_ID_BITS } else { 8 };
+            let id_bits = if leaves > 1 { LOCAL_ID_BITS } else { 8 };
             members
                 .iter()
                 .map(|_| Monitor::with_id_bits(sys.bus(), id_bits))
@@ -1081,73 +1122,135 @@ impl ChannelHw {
         };
         // Below the root every level's prefix has been stacked on, so
         // the root link carries the channel's full ID width.
-        let root_monitor = (probed && !levels.is_empty())
+        let root_monitor = (probed && !muxes.is_empty())
             .then(|| Monitor::with_id_bits(sys.bus(), shift.min(ID_BITS)));
         ChannelHw {
             members,
-            leaves,
-            levels,
-            links,
+            mux_awake: IndexSet::full(muxes.len()),
+            asleep_since: vec![0; muxes.len()],
+            touched: IndexSet::new(bundles.len()),
+            bundles,
+            muxes,
+            ports,
+            level_start,
+            feeds,
             adapter,
-            arity,
+            event: sys.sched == SchedMode::Event,
+            parked_mux_ticks: 0,
             leaf_monitors,
             root_monitor,
         }
     }
 
-    // simcheck: hot-path begin -- a channel's per-cycle tick, register
-    // stage and drained query.
+    /// Mux levels of the tree (0 for a channel without muxes).
+    fn depth(&self) -> usize {
+        self.level_start.len() - 1
+    }
 
-    /// One cycle: each mux level bottom-up, then the adapter on the root
-    /// link. The FIFO register stages make every hop visible only at the
-    /// cycle boundary, so each level adds one cycle of honest latency in
-    /// both directions.
-    fn tick(&mut self) {
-        for l in 0..self.levels.len() {
-            if l == 0 {
-                for (k, mux) in self.levels[0].iter_mut().enumerate() {
-                    let lo = k * self.arity;
-                    let hi = (lo + self.arity).min(self.leaves.len());
-                    mux.tick(&mut self.leaves[lo..hi], &mut self.links[0][k]);
-                }
-            } else {
-                let (lower, upper) = self.links.split_at_mut(l);
-                let ups = &mut lower[l - 1];
-                for (k, mux) in self.levels[l].iter_mut().enumerate() {
-                    let lo = k * self.arity;
-                    let hi = (lo + self.arity).min(ups.len());
-                    mux.tick(&mut ups[lo..hi], &mut upper[0][k]);
+    /// The muxes of level `l`, and their downstream links.
+    fn level(&self, l: usize) -> (&[AxiMux], &[AxiChannels]) {
+        let (lo, hi) = (self.level_start[l], self.level_start[l + 1]);
+        let leaves = self.members.len();
+        (&self.muxes[lo..hi], &self.bundles[leaves + lo..leaves + hi])
+    }
+
+    // simcheck: hot-path begin -- a channel's per-cycle tick, register
+    // stage, wake bookkeeping and drained query; every set and list is
+    // sized in `new`.
+
+    /// One cycle: every awake mux bottom-up, then the adapter on the
+    /// root link. The FIFO register stages make every hop visible only
+    /// at the cycle boundary, so each level adds one cycle of honest
+    /// latency in both directions, and the order of the ticks within a
+    /// cycle does not matter. `next` is the cycle after this one.
+    fn tick(&mut self, next: u64) {
+        let leaves = self.members.len();
+        for w in 0..self.mux_awake.words.len() {
+            for m in set_bits(self.mux_awake.words[w], w) {
+                let (lo, hi) = self.ports[m];
+                let (ins, outs) = self.bundles.split_at_mut(leaves + m);
+                let mux = &mut self.muxes[m];
+                mux.tick(&mut ins[lo..hi], &mut outs[0]);
+                if !mux.blocked() {
+                    (lo..hi).for_each(|b| self.touched.insert(b));
+                    self.touched.insert(leaves + m);
+                } else if self.event {
+                    // Nothing moved: every tick until a bundle next to
+                    // the mux changes would book the same lost rounds.
+                    self.mux_awake.remove(m);
+                    self.asleep_since[m] = next;
                 }
             }
         }
-        if self.members.is_empty() {
+        if leaves == 0 {
             // An all-IDEAL channel has no bus hardware to tick; its
             // adapter merely owns the storage.
             return;
         }
-        match self.links.last_mut() {
-            Some(root) => self.adapter.tick(&mut root[0]),
-            None => self.adapter.tick(&mut self.leaves[0]),
-        }
+        let root = self.bundles.len() - 1;
+        self.adapter.tick(&mut self.bundles[root]);
         self.adapter.end_cycle();
+        self.touched.insert(root);
     }
 
-    /// Cycle-boundary register stage for every bundle in the channel,
-    /// feeding the probe monitors where attached.
-    fn end_cycle(&mut self) {
-        if self.leaf_monitors.is_empty() {
-            self.leaves.iter_mut().for_each(AxiChannels::end_cycle);
-        } else {
-            for (ch, mon) in self.leaves.iter_mut().zip(&mut self.leaf_monitors) {
-                ch.end_cycle_observed(mon);
+    /// Cycle-boundary register stage: commits the bundles touched this
+    /// cycle, feeding the probe monitors where attached, and wakes the
+    /// components next to each bundle that changed — the one issuing
+    /// requests into it (its engine for a leaf, via `lot`; the mux it is
+    /// the link of otherwise) and the mux it feeds (none for the root,
+    /// whose adapter ticks every cycle). `next` is the cycle after this
+    /// one.
+    fn end_cycle(&mut self, next: u64, lot: &mut ParkLot) {
+        let leaves = self.members.len();
+        let root = self.bundles.len().wrapping_sub(1);
+        for w in 0..self.touched.words.len() {
+            let bits = std::mem::take(&mut self.touched.words[w]);
+            for b in set_bits(bits, w) {
+                let mon = if b < leaves {
+                    self.leaf_monitors.get_mut(b)
+                } else if b == root {
+                    self.root_monitor.as_mut()
+                } else {
+                    None
+                };
+                let bundle = &mut self.bundles[b];
+                let changed = match mon {
+                    Some(mon) => bundle.commit_observed(mon),
+                    None => bundle.commit(),
+                };
+                if !changed {
+                    continue;
+                }
+                if b < leaves {
+                    lot.ring(self.members[b]);
+                } else {
+                    self.wake_mux(b - leaves, next);
+                }
+                if self.feeds[b] != NO_MUX {
+                    self.wake_mux(self.feeds[b], next);
+                }
             }
         }
-        if let Some((root, inner)) = self.links.split_last_mut() {
-            inner.iter_mut().flatten().for_each(AxiChannels::end_cycle);
-            match self.root_monitor.as_mut() {
-                Some(mon) => root[0].end_cycle_observed(mon),
-                None => root[0].end_cycle(),
-            }
+    }
+
+    /// Wakes mux `m` if it sleeps, replaying the ticks it skipped before
+    /// cycle `next`, its first tick again.
+    #[inline]
+    fn wake_mux(&mut self, m: usize, next: u64) {
+        if !self.mux_awake.contains(m) {
+            let skipped = next - self.asleep_since[m];
+            self.muxes[m].skip_blocked(skipped);
+            self.parked_mux_ticks += skipped;
+            self.mux_awake.insert(m);
+        }
+    }
+
+    /// Wakes every sleeping mux, so its counters are current as of cycle
+    /// `next`: before an idle-span skip, before hang forensics and at the
+    /// end of the run.
+    fn wake_muxes(&mut self, next: u64) {
+        for m in 0..self.muxes.len() {
+            self.wake_mux(m, next);
         }
     }
 
@@ -1155,15 +1258,8 @@ impl ChannelHw {
     /// in flight anywhere in the channel.
     fn drained(&self) -> bool {
         self.adapter.quiescent()
-            && self.leaves.iter().all(AxiChannels::is_empty)
-            && self
-                .links
-                .iter()
-                .all(|row| row.iter().all(AxiChannels::is_empty))
-            && self
-                .levels
-                .iter()
-                .all(|row| row.iter().all(AxiMux::quiescent))
+            && self.bundles.iter().all(AxiChannels::is_empty)
+            && self.muxes.iter().all(AxiMux::quiescent)
     }
 
     // simcheck: hot-path end
@@ -1171,21 +1267,22 @@ impl ChannelHw {
     /// Appends this channel's component snapshots for hang forensics, in
     /// dependency order (leaves, then levels bottom-up, then adapter).
     fn hang_components(&self, c: usize, out: &mut Vec<HangComponent>) {
-        for (j, ch) in self.leaves.iter().enumerate() {
+        for (j, ch) in self.bundles[..self.members.len()].iter().enumerate() {
             out.push(channels_component(
                 &format!("ch{c} requestor {} leaf channels", self.members[j]),
                 ch,
             ));
         }
-        for (l, row) in self.levels.iter().enumerate() {
-            for (k, mux) in row.iter().enumerate() {
+        for l in 0..self.depth() {
+            let (muxes, links) = self.level(l);
+            for (k, mux) in muxes.iter().enumerate() {
                 out.push(HangComponent {
                     name: format!("ch{c} level {l} mux {k}"),
                     state: mux.describe_state(),
                     busy: !mux.quiescent() || mux.storm_active(),
                 });
             }
-            for (k, ch) in self.links[l].iter().enumerate() {
+            for (k, ch) in links.iter().enumerate() {
                 out.push(channels_component(&format!("ch{c} level {l} link {k}"), ch));
             }
         }
@@ -1199,24 +1296,101 @@ impl ChannelHw {
     }
 }
 
+/// A fixed-capacity set of small indices, one bit each. The run loop
+/// walks it a word at a time with [`set_bits`], in ascending order; a
+/// walk reads a copy of the word, so it may insert and remove members
+/// as it goes.
+struct IndexSet {
+    words: Vec<u64>,
+}
+
+impl IndexSet {
+    /// An empty set for indices below `n`.
+    fn new(n: usize) -> Self {
+        IndexSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// The set of every index below `n`.
+    fn full(n: usize) -> Self {
+        let mut set = IndexSet::new(n);
+        (0..n).for_each(|i| set.insert(i));
+        set
+    }
+
+    // simcheck: hot-path begin -- the wake sets' per-cycle operations and
+    // their walk; the words are sized in `new`.
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+}
+
+/// The indices of the set bits of `word`, word `w` of an [`IndexSet`],
+/// in ascending order.
+#[inline]
+fn set_bits(word: u64, w: usize) -> impl Iterator<Item = usize> {
+    let mut bits = word;
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * 64 + i
+        })
+    })
+}
+
+// simcheck: hot-path end
+
 /// Event-mode parking state of the run loop: which engines are parked
-/// on their leaf FIFOs ([`Engine::parked`]), why, and since when.
+/// on their leaf FIFOs ([`Engine::parked`]), why and since when, and
+/// which engines the loop visits.
 struct ParkLot {
     /// Per engine: the park reason and the first cycle it was not ticked.
     slots: Vec<Option<(Parked, u64)>>,
+    /// Engines the loop visits next cycle: the live ones that are not
+    /// parked, and the parked ones whose leaf changed, which check
+    /// [`Parked::woken`] once.
+    awake: IndexSet,
 }
 
 impl ParkLot {
     fn new(engines: usize) -> Self {
         ParkLot {
             slots: vec![None; engines],
+            awake: IndexSet::full(engines),
         }
     }
+
+    // simcheck: hot-path begin -- parking, waking and the watchdog's
+    // scalar-stall fold; nothing here allocates.
 
     /// Parks engine `i` for reason `p`; `now` is the first cycle it
     /// skips.
     fn park(&mut self, i: usize, p: Parked, now: u64) {
         self.slots[i] = Some((p, now));
+        self.awake.remove(i);
+    }
+
+    /// The commit of engine `i`'s leaf reported a change: a parked
+    /// engine checks [`Parked::woken`] next cycle.
+    #[inline]
+    fn ring(&mut self, i: usize) {
+        if self.slots[i].is_some() {
+            self.awake.insert(i);
+        }
     }
 
     /// Scalar stall cycles lockstep would have booked before cycle `now`
@@ -1237,6 +1411,7 @@ impl ParkLot {
         if let Some((p, since)) = self.slots[i].take() {
             engine.skip_parked(p, now - since);
             probe.parked_engine_ticks += now - since;
+            self.awake.insert(i);
         }
     }
 
@@ -1246,6 +1421,8 @@ impl ParkLot {
             self.unpark(i, engine, now, probe);
         }
     }
+
+    // simcheck: hot-path end
 }
 
 /// The run loop, the one every run goes through: per-channel adapters
@@ -1255,10 +1432,14 @@ impl ParkLot {
 /// requestor count the 16-bit ID space can carry generalizes it.
 ///
 /// Event mode fast-forwards spans in which every channel is drained and
-/// the live engines' merged [`Wake`] is a sleep, and parks engines whose
-/// ticks would only book stall counters ([`Engine::parked`]); lockstep
-/// ticks every live engine every cycle. The watchdog's progress
-/// signature is computed only while the watchdog is armed.
+/// the live engines' merged [`Wake`] is a sleep. Within a cycle it visits
+/// only awake components: it parks engines whose ticks would only book
+/// stall counters ([`Engine::parked`]) and blocked muxes
+/// ([`AxiMux::blocked`]), wakes them when the commit of a bundle next to
+/// them reports a change, and commits only the bundles touched this
+/// cycle. Lockstep ticks every live engine and every mux every cycle.
+/// The watchdog's progress signature is computed only while the
+/// watchdog is armed.
 fn run_fabric_uncached(
     topo: &Topology,
     probe: Option<&mut RunProbe>,
@@ -1351,6 +1532,9 @@ fn run_fabric_uncached(
                 let span = n.min(sys.max_cycles.saturating_sub(cycles));
                 if span > 0 {
                     lot.unpark_all(&mut engines, cycles, &mut sched_stats);
+                    for hw in channels_hw.iter_mut() {
+                        hw.wake_muxes(cycles);
+                    }
                     for (engine, done) in engines.iter_mut().zip(&done_at) {
                         if done.is_none() {
                             engine.fast_forward(span);
@@ -1363,10 +1547,11 @@ fn run_fabric_uncached(
                     }
                     cycles += span;
                     sched_stats.record_span(span);
-                    for (engine, done) in engines.iter().zip(done_at.iter_mut()) {
-                        if done.is_none() && engine.done() {
-                            *done = Some(cycles);
+                    for (i, engine) in engines.iter().enumerate() {
+                        if done_at[i].is_none() && engine.done() {
+                            done_at[i] = Some(cycles);
                             live -= 1;
+                            lot.awake.remove(i);
                         }
                     }
                     // The skip left the drained fabric untouched.
@@ -1377,51 +1562,58 @@ fn run_fabric_uncached(
                 }
             }
         }
-        for (i, engine) in engines.iter_mut().enumerate() {
-            // A finished requestor contributes nothing to any channel;
-            // not ticking it freezes its stats (cycles, utilization
-            // denominators) at its own completion cycle, so its
-            // RunReport describes *its* run, not the slowest one's.
-            if done_at[i].is_some() {
-                continue;
-            }
-            // Event mode parks an engine whose tick would only book
-            // stall counters and skips it until its leaf FIFOs change;
-            // lockstep ticks every live engine.
-            if let (true, Some((c, j))) = (event, slots[i]) {
-                let leaf = &channels_hw[c].leaves[j];
-                match lot.slots[i] {
-                    Some((p, _)) if !p.woken(leaf) => continue,
-                    Some(_) => lot.unpark(i, engine, cycles, &mut sched_stats),
-                    None => {
-                        if let Some(p) = engine.parked(leaf) {
-                            lot.park(i, p, cycles);
+        // The awake engines, in index order. A finished requestor leaves
+        // the set: it contributes nothing to any channel, and not ticking
+        // it freezes its stats (cycles, utilization denominators) at its
+        // own completion cycle, so its RunReport describes *its* run, not
+        // the slowest one's.
+        for w in 0..lot.awake.words.len() {
+            for i in set_bits(lot.awake.words[w], w) {
+                let engine = &mut engines[i];
+                // Event mode parks an engine whose tick would only book
+                // stall counters and skips it until its leaf FIFOs change;
+                // lockstep ticks every live engine.
+                if let (true, Some((c, j))) = (event, slots[i]) {
+                    let leaf = &channels_hw[c].bundles[j];
+                    match lot.slots[i] {
+                        Some((p, _)) if !p.woken(leaf) => {
+                            lot.awake.remove(i);
                             continue;
+                        }
+                        Some(_) => lot.unpark(i, engine, cycles, &mut sched_stats),
+                        None => {
+                            if let Some(p) = engine.parked(leaf) {
+                                lot.park(i, p, cycles);
+                                continue;
+                            }
                         }
                     }
                 }
-            }
-            match slots[i] {
-                Some((c, j)) => {
-                    let hw = &mut channels_hw[c];
-                    engine.tick(Some(&mut hw.leaves[j]), hw.adapter.storage_mut());
+                match slots[i] {
+                    Some((c, j)) => {
+                        let hw = &mut channels_hw[c];
+                        engine.tick(Some(&mut hw.bundles[j]), hw.adapter.storage_mut());
+                        hw.touched.insert(j);
+                    }
+                    None => {
+                        let hw = &mut channels_hw[placement.channel_of[i]];
+                        engine.tick(None, hw.adapter.storage_mut());
+                    }
                 }
-                None => {
-                    let hw = &mut channels_hw[placement.channel_of[i]];
-                    engine.tick(None, hw.adapter.storage_mut());
+                sched_stats.engine_ticks += 1;
+                if engine.done() {
+                    done_at[i] = Some(cycles + 1);
+                    live -= 1;
+                    lot.awake.remove(i);
                 }
-            }
-            sched_stats.engine_ticks += 1;
-            if engine.done() {
-                done_at[i] = Some(cycles + 1);
-                live -= 1;
             }
         }
+        let next = cycles + 1;
         for hw in channels_hw.iter_mut() {
-            hw.tick();
-            hw.end_cycle();
+            hw.tick(next);
+            hw.end_cycle(next, &mut lot);
         }
-        cycles += 1;
+        cycles = next;
         if live == 0 && channels_hw.iter().all(ChannelHw::drained) {
             break;
         }
@@ -1432,6 +1624,9 @@ fn run_fabric_uncached(
         {
             let limit = if hung { sys.max_cycles } else { sys.watchdog };
             lot.unpark_all(&mut engines, cycles, &mut sched_stats);
+            for hw in channels_hw.iter_mut() {
+                hw.wake_muxes(cycles);
+            }
             return Err(hang_forensics(
                 cycles,
                 limit,
@@ -1443,23 +1638,22 @@ fn run_fabric_uncached(
         }
     }
     // simcheck: hot-path end
+    for hw in channels_hw.iter_mut() {
+        hw.wake_muxes(cycles);
+        sched_stats.parked_mux_ticks += hw.parked_mux_ticks;
+    }
     // Per-level occupancy, aggregated across channels (level 0 is the
     // leaf level of every channel's tree).
-    let depth = channels_hw
-        .iter()
-        .map(|hw| hw.levels.len())
-        .max()
-        .unwrap_or(0);
+    let depth = channels_hw.iter().map(ChannelHw::depth).max().unwrap_or(0);
     let levels: Vec<LevelOccupancy> = (0..depth)
         .map(|l| {
             let mut muxes = 0u32;
             let (mut ar_beats, mut r_beats) = (0u64, 0u64);
-            for hw in &channels_hw {
-                if let Some(row) = hw.levels.get(l) {
-                    muxes += row.len() as u32;
-                    ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
-                    r_beats += row.iter().map(AxiMux::r_forwarded).sum::<u64>();
-                }
+            for hw in channels_hw.iter().filter(|hw| l < hw.depth()) {
+                let (row, _) = hw.level(l);
+                muxes += row.len() as u32;
+                ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
+                r_beats += row.iter().map(AxiMux::r_forwarded).sum::<u64>();
             }
             LevelOccupancy {
                 level: l as u32,
@@ -1470,7 +1664,7 @@ fn run_fabric_uncached(
         })
         .collect();
     let snaps: Vec<ChannelSnap> = channels_hw.iter().map(ChannelSnap::of).collect();
-    let chan_depth: Vec<usize> = channels_hw.iter().map(|hw| hw.levels.len()).collect();
+    let chan_depth: Vec<usize> = channels_hw.iter().map(ChannelHw::depth).collect();
     // Consume the hardware: monitors out, per-channel storages out.
     let mut leaf_monitors: Vec<Monitor> = Vec::new();
     let mut root_monitors: Vec<Monitor> = Vec::new();

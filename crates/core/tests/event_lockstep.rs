@@ -10,9 +10,11 @@
 //! mode, and compares everything.
 //!
 //! The run loop additionally parks blocked engines on their leaf FIFOs
-//! in event mode. The fabric grid below holds that to the same oracle
-//! over every fabric shape, and the hang tests pin the watchdog
-//! signature, which counts parked engines' owed scalar stalls.
+//! and sleeps blocked muxes in event mode. The fabric grid below holds
+//! that to the same oracle over every fabric shape, the deep and wide
+//! trees over five levels and eight-port muxes, and the hang tests pin
+//! the watchdog signature, which counts parked engines' owed scalar
+//! stalls.
 
 use std::sync::Arc;
 
@@ -321,6 +323,54 @@ fn fabric_grid_agrees_across_modes() {
     }
     assert!(ar_stalls > 0, "no engine ever waited on a full AR FIFO");
     assert!(w_stalls > 0, "no engine ever waited on a full W FIFO");
+}
+
+#[test]
+fn deep_and_wide_trees_agree_across_modes() {
+    // 32 requestors on one row-buffered channel: arity 2 stacks five mux
+    // levels, arity 8 makes each level as wide as the ID space allows.
+    // Event mode sleeps blocked muxes and commits only touched bundles;
+    // both must leave every report bit as lockstep's.
+    let mixed = mixed_requestors(SystemKind::Pack);
+    let requestors: Vec<Requestor> = (0..32).map(|i| mixed[i % mixed.len()].clone()).collect();
+    for arity in [2, 8] {
+        let fabric = FabricSpec::tree(arity).with_row_buffer(8, 6);
+        let ctx = format!("{fabric:?}");
+        let run = |sched: SchedMode| {
+            let topo = fabric_topology(SystemKind::Pack, fabric, sched, requestors.clone());
+            let mut probe = RunProbe::default();
+            let report = run_system_probed(&topo, &mut probe)
+                .unwrap_or_else(|e| panic!("{ctx} ({sched}): run failed: {e}"));
+            (report, probe)
+        };
+        let (ev, ev_probe) = run(SchedMode::Event);
+        let (lk, lk_probe) = run(SchedMode::Lockstep);
+        assert_eq!(ev.levels.len(), if arity == 2 { 5 } else { 2 }, "{ctx}");
+        assert_eq!(
+            format!("{ev:?}"),
+            format!("{lk:?}"),
+            "{ctx}: system reports differ between modes"
+        );
+        assert_eq!(
+            ev_probe.storage_digest, lk_probe.storage_digest,
+            "{ctx}: final memory differs between modes"
+        );
+        assert_eq!(ev_probe.violation_summary(), None, "{ctx}: event monitors");
+        assert_eq!(
+            lk_probe.violation_summary(),
+            None,
+            "{ctx}: lockstep monitors"
+        );
+        assert!(
+            ev_probe.sched.parked_mux_ticks > 0,
+            "{ctx}: event mode never slept a mux"
+        );
+        assert_eq!(
+            lk_probe.sched.parked_mux_ticks, 0,
+            "{ctx}: lockstep slept a mux"
+        );
+        assert!(!lk_probe.sched.skipped_any(), "{ctx}: lockstep skipped");
+    }
 }
 
 #[test]

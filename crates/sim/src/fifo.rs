@@ -14,6 +14,20 @@
 //! event scheduler. The price is that a capacity-1 FIFO sustains only one
 //! item every two cycles; use capacity ≥ 2 for full-rate links (exactly like
 //! a two-deep skid buffer in RTL).
+//!
+//! # Storage and commit
+//!
+//! One ring holds the visible items followed by the items staged this
+//! cycle; two counters split it: how many items at the front are visible,
+//! and how many were visible when the cycle began. `pop` takes from the
+//! front of the visible part and `push` appends behind the staged part, so
+//! the register stage, [`Fifo::commit`], moves no item: it only makes the
+//! whole ring visible and re-registers the occupancy. Because a cycle's
+//! pops and pushes show in those counters, `commit` also reports whether
+//! the FIFO changed this cycle — `true` exactly when something was pushed
+//! or popped since the last commit. A FIFO that nothing touched commits
+//! as a no-op, so a run loop may skip committing it without changing any
+//! later cycle.
 
 use std::collections::VecDeque;
 
@@ -36,10 +50,10 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
-    /// Items visible to `pop` this cycle.
-    queue: VecDeque<T>,
-    /// Items pushed this cycle; promoted to `queue` by `end_cycle`.
-    staged: VecDeque<T>,
+    /// The visible items, oldest first, followed by this cycle's pushes.
+    ring: VecDeque<T>,
+    /// Items at the front of `ring` that `pop` may take this cycle.
+    visible: usize,
     /// Occupancy captured at the start of the current cycle.
     len_at_cycle_start: usize,
     capacity: usize,
@@ -57,10 +71,10 @@ impl<T> Fifo<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "fifo capacity must be at least 1");
         Fifo {
-            queue: VecDeque::with_capacity(capacity),
-            // Staged items are bounded by the capacity too; pre-sizing
-            // means a FIFO never reallocates after construction.
-            staged: VecDeque::with_capacity(capacity),
+            // Visible plus staged items never exceed the capacity, so
+            // pre-sizing means a FIFO never reallocates after construction.
+            ring: VecDeque::with_capacity(capacity),
+            visible: 0,
             len_at_cycle_start: 0,
             capacity,
             total_pushed: 0,
@@ -68,8 +82,8 @@ impl<T> Fifo<T> {
         }
     }
 
-    // simcheck: hot-path begin -- per-cycle handshake methods; both rings
-    // are pre-sized in `new` and must never reallocate.
+    // simcheck: hot-path begin -- per-cycle handshake methods; the ring
+    // is pre-sized in `new` and must never reallocate.
 
     /// Returns `true` if a `push` this cycle would be accepted.
     ///
@@ -77,14 +91,20 @@ impl<T> Fifo<T> {
     /// pushes already performed this cycle.
     #[inline]
     pub fn can_push(&self) -> bool {
-        self.len_at_cycle_start + self.staged.len() < self.capacity
+        self.len_at_cycle_start + self.staged_len() < self.capacity
     }
 
     /// Returns how many more items can be pushed this cycle.
     #[inline]
     pub fn push_slots(&self) -> usize {
         self.capacity
-            .saturating_sub(self.len_at_cycle_start + self.staged.len())
+            .saturating_sub(self.len_at_cycle_start + self.staged_len())
+    }
+
+    /// Items pushed this cycle.
+    #[inline]
+    fn staged_len(&self) -> usize {
+        self.ring.len() - self.visible
     }
 
     /// Enqueues an item; it becomes visible to `pop` next cycle.
@@ -96,51 +116,65 @@ impl<T> Fifo<T> {
     #[inline]
     pub fn push(&mut self, item: T) {
         assert!(self.can_push(), "push into full fifo");
-        self.staged.push_back(item);
+        self.ring.push_back(item);
         self.total_pushed += 1;
     }
 
     /// Returns a reference to the oldest visible item without removing it.
     #[inline]
     pub fn peek(&self) -> Option<&T> {
-        self.queue.front()
+        if self.visible == 0 {
+            return None;
+        }
+        self.ring.front()
     }
 
     /// Returns `true` if an item is available to `pop` this cycle.
     #[inline]
     pub fn can_pop(&self) -> bool {
-        !self.queue.is_empty()
+        self.visible != 0
     }
 
     /// Dequeues the oldest visible item, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.queue.pop_front();
-        if item.is_some() {
-            self.total_popped += 1;
+        if self.visible == 0 {
+            return None;
         }
-        item
+        self.visible -= 1;
+        self.total_popped += 1;
+        self.ring.pop_front()
     }
 
-    /// Commits this cycle's pushes and re-registers the occupancy.
+    /// Commits this cycle's pushes and re-registers the occupancy, and
+    /// reports whether the FIFO changed: `true` exactly when an item was
+    /// pushed or popped since the previous commit.
+    ///
+    /// Call it once per simulated cycle, after all component ticks. A
+    /// commit that would return `false` changes nothing, so a caller that
+    /// knows nothing touched the FIFO this cycle may leave it out.
+    #[inline]
+    pub fn commit(&mut self) -> bool {
+        let len = self.ring.len();
+        let changed = len != self.visible || self.visible != self.len_at_cycle_start;
+        debug_assert!(
+            len <= self.capacity,
+            "fifo overflow: {len} > {}",
+            self.capacity
+        );
+        self.visible = len;
+        self.len_at_cycle_start = len;
+        changed
+    }
+
+    /// Commits this cycle's pushes and re-registers the occupancy, like
+    /// [`Fifo::commit`] without the change report.
     ///
     /// Must be called exactly once per simulated cycle, after all component
     /// ticks.
     #[inline]
     pub fn end_cycle(&mut self) {
-        // Most FIFOs of a large fabric stage nothing in a given cycle;
-        // skipping the empty append keeps their end of cycle to one
-        // length read.
-        if !self.staged.is_empty() {
-            self.queue.append(&mut self.staged);
-        }
-        debug_assert!(
-            self.queue.len() <= self.capacity,
-            "fifo overflow: {} > {}",
-            self.queue.len(),
-            self.capacity
-        );
-        self.len_at_cycle_start = self.queue.len();
+        self.commit();
     }
 
     // simcheck: hot-path end
@@ -148,7 +182,7 @@ impl<T> Fifo<T> {
     /// Number of items currently visible to `pop`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.visible
     }
 
     /// Returns `true` if no items are visible *and* none are staged.
@@ -157,7 +191,7 @@ impl<T> Fifo<T> {
     /// simulation, not the per-cycle `can_pop` handshake.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty() && self.staged.is_empty()
+        self.ring.is_empty()
     }
 
     /// Maximum number of items the FIFO can hold.
@@ -180,14 +214,14 @@ impl<T> Fifo<T> {
 
     /// Iterates over the items currently visible to `pop`, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.queue.iter()
+        self.ring.range(..self.visible)
     }
 
     /// Wake status for the event-driven scheduler.
     ///
     /// A FIFO is [`crate::sched::Wake::Ready`] whenever it holds *any* item
     /// — visible or staged — because staged items still need an
-    /// [`Fifo::end_cycle`] to promote them, which a skipped cycle would
+    /// [`Fifo::commit`] to promote them, which a skipped cycle would
     /// omit. A fully drained FIFO only changes state on external pushes, so
     /// it reports [`crate::sched::Wake::Idle`] (the wake condition is "FIFO
     /// became non-empty").
@@ -209,7 +243,7 @@ impl<T> Fifo<T> {
     /// sees each accepted handshake exactly once, in order, without
     /// perturbing the simulation.
     pub fn staged(&self) -> impl Iterator<Item = &T> {
-        self.staged.iter()
+        self.ring.range(self.visible..)
     }
 }
 
@@ -327,6 +361,18 @@ mod tests {
         assert_eq!(f.push_slots(), 2);
         f.end_cycle();
         assert_eq!(f.push_slots(), 2);
+    }
+
+    #[test]
+    fn commit_reports_pushes_and_pops() {
+        let mut f: Fifo<u8> = Fifo::new(2);
+        assert!(!f.commit(), "an untouched fifo does not change");
+        f.push(1);
+        assert!(f.commit());
+        assert!(!f.commit());
+        assert_eq!(f.pop(), Some(1));
+        assert!(f.commit(), "a pop is a change");
+        assert!(!f.commit());
     }
 
     #[test]

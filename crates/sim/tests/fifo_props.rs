@@ -39,6 +39,49 @@ proptest! {
         prop_assert!(fifo.total_pushed() >= fifo.total_popped());
     }
 
+    /// `commit` reports a change exactly on cycles that pushed or popped,
+    /// and a FIFO whose commit is skipped on some untouched cycles
+    /// behaves identically to one committed every cycle.
+    #[test]
+    fn commit_reports_exactly_the_touched_cycles(
+        capacity in 1usize..6,
+        cycles in proptest::collection::vec((0usize..3, 0usize..3, proptest::bool::ANY), 1..200),
+    ) {
+        let mut every: Fifo<u32> = Fifo::new(capacity);
+        let mut lazy: Fifo<u32> = Fifo::new(capacity);
+        let mut next = 0u32;
+        for (pops, pushes, commit_idle) in cycles {
+            let mut touched = false;
+            for _ in 0..pops {
+                let got = every.pop();
+                prop_assert_eq!(got, lazy.pop());
+                touched |= got.is_some();
+            }
+            for _ in 0..pushes {
+                prop_assert_eq!(every.can_push(), lazy.can_push());
+                prop_assert_eq!(every.push_slots(), lazy.push_slots());
+                if every.can_push() {
+                    every.push(next);
+                    lazy.push(next);
+                    next += 1;
+                    touched = true;
+                }
+            }
+            prop_assert_eq!(every.commit(), touched);
+            if touched || commit_idle {
+                prop_assert_eq!(lazy.commit(), touched);
+            }
+            prop_assert_eq!(every.len(), lazy.len());
+            prop_assert_eq!(every.can_push(), lazy.can_push());
+            prop_assert_eq!(every.is_empty(), lazy.is_empty());
+            prop_assert_eq!(every.peek(), lazy.peek());
+            prop_assert!(every.iter().eq(lazy.iter()));
+            prop_assert_eq!(every.staged().count(), 0);
+        }
+        prop_assert_eq!(every.total_pushed(), lazy.total_pushed());
+        prop_assert_eq!(every.total_popped(), lazy.total_popped());
+    }
+
     /// A pipeline delays every item by exactly its latency and preserves
     /// order.
     #[test]
